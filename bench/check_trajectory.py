@@ -382,10 +382,13 @@ def main():
         print("baseline updated: %s" % args.baseline)
         return 0
 
+    # Name the gate after its baseline (diff_micro, chaos_overhead, ...):
+    # one script checks every trajectory, so the banner must say which.
+    gate = os.path.splitext(os.path.basename(args.baseline))[0]
     for w in warnings:
         print("WARNING: %s" % w, file=sys.stderr)
     if failures or (args.strict and warnings):
-        print("\ndiff-throughput trajectory check FAILED:", file=sys.stderr)
+        print("\n%s trajectory check FAILED:" % gate, file=sys.stderr)
         for f in failures:
             print("  " + f, file=sys.stderr)
         if args.strict:
@@ -394,7 +397,7 @@ def main():
         print("(baseline: %s; refresh deliberately with --update)" % args.baseline,
               file=sys.stderr)
         return 1
-    print("diff-throughput trajectory within tolerance of %s" % args.baseline)
+    print("%s trajectory within tolerance of %s" % (gate, args.baseline))
     return 0
 
 

@@ -99,19 +99,16 @@ struct DsmConfig {
   // page untouched before it decays out of the lock's set.  Kept above
   // lock_push_reprobe so a read-only consumer (whose touches are only
   // visible on armed probe faults, every reprobe-th push) does not decay
-  // between probes.  Default overridable via TMK_LOCK_PUSH_PROBE.
-  std::uint32_t lock_push_probe = static_cast<std::uint32_t>(
-      detail::env_size("TMK_LOCK_PUSH_PROBE", 8));
+  // between probes.
+  std::uint32_t lock_push_probe = 8;
 
-  // Every Nth push of a page along the grant chain is applied *armed*
-  // (contents current, page unmapped): the next holder's first access
-  // faults once, locally, proving it still touches the page.  A page still
+  // The lock keying's probe cadence: the holder leaves every Nth push it
+  // applies to a page *armed* (contents current, page unmapped), so its
+  // first access faults once, locally, proving it still touches the page.  A page still
   // armed when that holder releases the lock was dead weight — the holder
-  // denies the pusher (kLockPushDeny) and the page demotes from the set
-  // with exponential re-admission backoff.  Must be >= 1.  Default
-  // overridable via TMK_LOCK_PUSH_REPROBE.
-  std::uint32_t lock_push_reprobe = static_cast<std::uint32_t>(
-      detail::env_size("TMK_LOCK_PUSH_REPROBE", 4));
+  // denies the pusher (a lock-key kPushDeny) and the page demotes from the
+  // set with exponential re-admission backoff.  Must be >= 1.
+  std::uint32_t lock_push_reprobe = 4;
 
   // Adaptive hybrid invalidate/update protocol.  Writers track a per-page
   // *copyset* (every fault-path kDiffRequest served records the requester as
@@ -126,12 +123,11 @@ struct DsmConfig {
   // Adaptation is bidirectional.  Reads on a valid page are invisible to the
   // protocol, so liveness is probed: every `update_reprobe_epochs`-th push
   // is applied *armed* — page contents current but left unmapped, so the
-  // next access faults once, locally (no messages), and sets the page's
-  // touched bit (the pushes in between, including the first, validate
-  // outright: promotion already rests on faults observed in consecutive
-  // epochs).  An armed page
-  // still untouched at the next barrier means the reader no longer uses the
-  // data: the reader sends the writers a kUpdateDeny and the page demotes
+  // next access faults once, locally (no messages), and disarms it (the
+  // pushes in between, including the first, validate outright: promotion
+  // already rests on faults observed in consecutive epochs).  A page still
+  // armed at the next barrier means the reader no longer uses the data: the
+  // reader sends the writers a barrier-key kPushDeny and the page demotes
   // back to invalidate mode (irregular sharing — TSP, QSORT — stays on the
   // pull path).  Pushes ride the requester-side diff cache keyed by
   // (writer, interval seq), so a racing pull-path fetch stays idempotent;
@@ -141,16 +137,13 @@ struct DsmConfig {
   bool update_mode = detail::env_flag("TMK_UPDATE_MODE", false);
 
   // Consecutive epochs a page's copyset must be stable before it is promoted
-  // to update mode.  Default overridable via TMK_UPDATE_PROMOTE_EPOCHS.
-  std::uint32_t update_promote_epochs = static_cast<std::uint32_t>(
-      detail::env_size("TMK_UPDATE_PROMOTE_EPOCHS", 2));
+  // to update mode.
+  std::uint32_t update_promote_epochs = 2;
 
-  // Every Nth push to a page is applied armed (liveness probe, see
-  // update_mode): larger values skip more faults between probes but let a
-  // stale promotion push uselessly for longer.  Must be >= 1.  Default
-  // overridable via TMK_UPDATE_REPROBE_EPOCHS.
-  std::uint32_t update_reprobe_epochs = static_cast<std::uint32_t>(
-      detail::env_size("TMK_UPDATE_REPROBE_EPOCHS", 4));
+  // Every Nth push that lands on a page is applied armed (liveness probe,
+  // see update_mode): larger values skip more faults between probes but let
+  // a stale promotion push uselessly for longer.  Must be >= 1.
+  std::uint32_t update_reprobe_epochs = 4;
 
   // Multi-page prefetch on fault: when a fault sends a kDiffRequest, up to
   // this many neighboring invalid pages (the window [page+1, page+N]) with

@@ -4,45 +4,9 @@ namespace now::tmk {
 
 const char* msg_type_name(std::uint16_t t) {
   switch (t) {
-    case kFork: return "fork";
-    case kJoin: return "join";
-    case kShutdown: return "shutdown";
-    case kDiffRequest: return "diff_req";
-    case kDiffReply: return "diff_reply";
-    case kLockAcquire: return "lock_acquire";
-    case kLockForward: return "lock_forward";
-    case kLockGrant: return "lock_grant";
-    case kBarrierArrive: return "barrier_arrive";
-    case kBarrierDepart: return "barrier_depart";
-    case kSemaSignal: return "sema_signal";
-    case kSemaAck: return "sema_ack";
-    case kSemaWait: return "sema_wait";
-    case kSemaGrant: return "sema_grant";
-    case kCondWait: return "cond_wait";
-    case kCondSignal: return "cond_signal";
-    case kCondBroadcast: return "cond_broadcast";
-    case kFlushNotice: return "flush_notice";
-    case kFlushAck: return "flush_ack";
-    case kAllocRequest: return "alloc_req";
-    case kAllocReply: return "alloc_reply";
-    case kFreeRequest: return "free_req";
-    case kFreeAck: return "free_ack";
-    case kUpdatePush: return "update_push";
-    case kUpdateDeny: return "update_deny";
-    case kLockPushDeny: return "lock_push_deny";
-    case kTreeArrive: return "tree_arrive";
-    case kTreeDepart: return "tree_depart";
-    case kGcRequest: return "gc_request";
-    case kGcArrive: return "gc_arrive";
-    case kGcDepart: return "gc_depart";
-    case kAck: return "ack";
-    case kCondWaitAck: return "cond_wait_ack";
-    case kPing: return "ping";
-    case kNodeDown: return "node_down";
-    case kCkptQuery: return "ckpt_query";
-    case kCkptReply: return "ckpt_reply";
-    case kCkptCommit: return "ckpt_commit";
-    case kCkptAck: return "ckpt_ack";
+#define NOW_TMK_MSG(id, name) case id: return name;
+#include "tmk/msgs.def"
+#undef NOW_TMK_MSG
     default: return "unknown";
   }
 }

@@ -2,6 +2,7 @@
 // duties, compute-thread operations and protocol service thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -101,6 +102,18 @@ class Node {
   MetaFootprint meta_footprint();
   // Prints lock-client and manager state to stderr (deadlock forensics).
   void debug_dump();
+
+  // ---- push engine surface (node_push.cpp), public for tests ----
+  // Push key of the barrier keying (update mode); every other push key is a
+  // lock id, which is why no lock may take this id.
+  static constexpr std::uint32_t kBarrierPushKey = 0xffffffffu;
+  // Whether this node, as a pusher, admits `page` under `key`: promoted in
+  // its copyset (kBarrierPushKey) or a member of the lock's protected set.
+  bool push_admitted(std::uint32_t key, PageIndex page);
+  // Compute thread: one kPushDeny per pusher, naming the pages whose pushes
+  // under `key` were judged dead.
+  void push_deny(std::uint32_t key,
+                 const std::map<std::uint32_t, std::vector<PageIndex>>& deny);
   // Charge accumulated compute time to the virtual clock.
   void sync_cpu();
 
@@ -201,68 +214,93 @@ class Node {
   // globally known — the waiter already holds them.
   std::vector<IntervalRecordPtr> mgr_delta_since(const VectorTime& since);
 
-  // ---------- migratory lock push (on the kLockGrant chain) ----------
-  // Fault-time attribution: records the faulted page against every lock the
-  // compute thread currently holds (compute thread only; builds the per-CS
-  // touch sets the fold below consumes).
-  void lock_push_note_touch(PageIndex page);
-  // At release: folds the ending critical section's touch set into the
-  // lock's protected-set stats — touched pages (re)gain membership, member
-  // pages untouched for lock_push_probe consecutive own CSes decay out.
-  void lock_push_fold(std::uint32_t lock_id);
-  // At release: pages this acquire applied *armed* that the whole critical
-  // section never touched are dead pushes — deny the pushers (kLockPushDeny)
-  // so the pages demote from their protected sets.
-  void lock_push_judge(std::uint32_t lock_id);
-  // One kLockPushDeny to `pusher` naming the pages whose pushes were dead.
-  void send_lock_push_deny(std::uint32_t lock_id, std::uint32_t pusher,
-                           const std::vector<PageIndex>& pages);
-  // Granter side: appends the push section to a kLockGrant payload — diffs
-  // of this node's own records in `delta` for the lock's member pages,
-  // budgeted by lock_push_bytes, with the whole-page-image fallback when a
-  // diff outgrows the page (guarded by requester-knowledge domination).
-  // Runs on the compute thread (release with a pending requester) or the
-  // service thread (cached grant on kLockForward).
-  void append_lock_push(ByteWriter& w, std::uint32_t lock_id,
-                        const VectorTime& req_vt,
-                        const std::vector<IntervalRecordPtr>& delta);
-  // Requester side, inside lock_acquire/cond_wait on the compute thread:
-  // parses the grant's push section, parks the chunks in the page diff
-  // caches ((writer, seq)-keyed — idempotent against a concurrent pull) and
-  // validates or arms fully covered pages before the critical section runs.
-  void apply_lock_push(std::uint32_t lock_id, std::uint32_t writer,
-                       ByteReader& r);
-  // Shared tail of lock_acquire and cond_wait: merge the grant's records,
-  // apply its push section and raise the piggybacked floor.
-  std::uint32_t consume_lock_grant(sim::Message& grant);
+  // ---------- push engine (node_push.cpp) ----------
+  // Diffs that ride ahead of the fault that would otherwise pull them, fed
+  // by two keyings that each keep only what they observe and where they
+  // send; everything after the bytes arrive is shared.
+  struct PushedChunk {
+    std::uint32_t writer = 0;
+    std::uint32_t seq = 0;
+    std::vector<DiffBytes> chunks;
+  };
+  // What a landing pass accumulates: its apply cost and the denies it owes.
+  struct PushBatch {
+    std::size_t patched = 0;
+    std::uint64_t applied = 0;
+    std::map<std::uint32_t, std::vector<PageIndex>> deny;  // pusher -> pages
+  };
+  // The one landing routine (compute thread, under the page's mu): park the
+  // chunks in the page's diff cache, keyed (writer, seq); deny `pushers` if
+  // the budget rejected every chunk; nothing more on a page already valid;
+  // apply in lamport order only when every unapplied notice is covered
+  // (otherwise the partial push is judged); then arm or validate.  The lock
+  // keying retains applied droppable chunks as relay stock.
+  void push_land(std::uint32_t key, PageIndex page,
+                 const std::vector<std::uint32_t>& pushers,
+                 std::vector<PushedChunk>& chunks, PushBatch& b);
+  // The shared tail of every applied push (page contents current, mapped
+  // read-write): every Nth push to the page is left armed and judged under
+  // `key`, the rest validate.
+  void push_settle(std::uint32_t key, PageIndex page, PageEntry& e,
+                   const std::vector<std::uint32_t>& pushers);
+  // Charges a landing pass's apply cost and sends the denies it owes.
+  void push_finish(std::uint32_t key, PushBatch& b);
+  // Judges the pushes landed under `key` since its last judge point (the
+  // barrier key at barrier entry, a lock at its release): a page still
+  // armed, or partially covered and still invalid with unapplied notices,
+  // was a dead push and is denied to its pushers.
+  void push_judge(std::uint32_t key);
+  // A probe fault consumed an armed page: count the arming keying's hit.
+  void push_hit(PushKind kind);
 
-  // ---------- adaptive update protocol (compute thread, inside barrier()) ----------
-  // Reader side, at barrier entry: consume the pages pushed last epoch —
-  // clear touched bits, and send kUpdateDeny for pushes that went untouched
-  // a whole epoch (demotion).
-  void update_scan_demote();
+  // ---- barrier keying: the adaptive update protocol, inside barrier() ----
   // Writer side, before the barrier arrival is sent: push the epoch's diffs
   // for update-promoted pages to their stable readers, one batched
   // kUpdatePush per reader, tagged with this barrier's index.  Sent before
   // kBarrierArrive, so mailbox FIFO guarantees every reader's service
   // thread parks the chunks before its barrier departure can be delivered.
   void update_push_promoted(std::uint64_t barrier_index);
-  // Reader side, after the departure's records are merged: apply pages whose
-  // wanted intervals the pushed chunks fully cover, validating (or arming)
-  // them so the post-barrier fault never happens.  Consumes only pushes
-  // tagged with this barrier's index — a faster writer may already have
-  // departed and pushed for the *next* barrier, and those pushes must wait
-  // for the records they describe.
-  void update_validate_pushed(std::uint64_t barrier_index);
+  // Reader side, after the departure's records are merged: land the pushes
+  // tagged with this barrier's index.  A faster writer may already have
+  // departed and pushed for the *next* barrier; those pushes must wait for
+  // the records they describe.
+  void update_land_pushed(std::uint64_t barrier_index);
   // Writer side, after departure: fold the finished epoch's observed readers
   // into each page's copyset and promote pages stable for
   // update_promote_epochs consecutive epochs.  `epoch` is the 0-based index
   // of the epoch that just ended (requests are tagged with it, making the
   // fold deterministic under service-thread timing).
   void update_copyset_fold(std::uint64_t epoch);
-  // One kUpdateDeny per writer naming the pages whose pushes this reader
-  // wants stopped (demotion scan + budget-rejected pushes).
-  void send_update_denies(const std::map<std::uint32_t, std::vector<PageIndex>>& deny);
+
+  // ---- lock keying: the migratory lock push, on the kLockGrant chain ----
+  // Fault-time attribution: records the faulted page against every lock the
+  // compute thread currently holds (compute thread only; builds the per-CS
+  // touch sets the release folds).
+  void lock_push_note_touch(PageIndex page);
+  // Critical-section bracket (no-ops while lock push is off).  Begin starts
+  // the touch attribution for the lock.  End folds the section's touch set
+  // into the lock's protected set — touched pages (re)gain membership,
+  // member pages untouched for lock_push_probe consecutive own CSes decay
+  // out — and judges the pushes this acquire landed.
+  void lock_push_begin_cs(std::uint32_t lock_id);
+  void lock_push_end_cs(std::uint32_t lock_id);
+  // Granter side: appends the push section to a kLockGrant payload — diffs
+  // of the delta's records for the lock's member pages (own intervals from
+  // the diff store, relayed ones from the page's retained cache), budgeted
+  // by lock_push_bytes, with the whole-page-image fallback (guarded by
+  // requester-knowledge domination).  Runs on the compute thread (release
+  // with a pending requester) or the service thread (cached grant on
+  // kLockForward).
+  void append_lock_push(ByteWriter& w, std::uint32_t lock_id,
+                        const VectorTime& req_vt,
+                        const std::vector<IntervalRecordPtr>& delta);
+  // Requester side, inside lock_acquire/cond_wait on the compute thread:
+  // lands the grant's push section before the critical section runs.
+  void lock_land_push(std::uint32_t lock_id, std::uint32_t granter,
+                      ByteReader& r);
+  // Shared tail of lock_acquire and cond_wait: merge the grant's records,
+  // land its push section and raise the piggybacked floor.
+  std::uint32_t consume_lock_grant(sim::Message& grant);
 
   // ---------- crash injection + checkpoint/rollback (node_ckpt.cpp) ----------
   // Compute-thread hook at every sync operation (and at the GC-exchange
@@ -326,9 +364,8 @@ class Node {
   void service_main();
   void handle_message(sim::Message&& m);
   void on_diff_request(sim::Message&& m);
-  void on_update_push(sim::Message&& m);  // park pushed diffs in the cache
-  void on_update_deny(sim::Message&& m);  // demote pages in the copyset
-  void on_lock_push_deny(sim::Message&& m);  // demote protected-set pages
+  void on_update_push(sim::Message&& m);  // park pushed diffs for landing
+  void on_push_deny(sim::Message&& m);    // demote pages under the push key
   void on_lock_acquire(sim::Message&& m);   // manager duty
   void on_lock_forward(sim::Message&& m);   // holder duty
   void on_barrier_arrive(sim::Message&& m); // combining-point duty
@@ -379,26 +416,42 @@ class Node {
   std::mutex store_mu_;
   std::unordered_map<std::uint64_t, std::vector<DiffBytes>> diff_store_;
 
-  // ---- adaptive update protocol ----
-  // Writer-side copyset per page (copyset_mu_): which nodes read the page
-  // this epoch, how long the set has been stable, and whether the page is
-  // promoted to update mode.  Readers are recorded by the service thread
-  // (on_diff_request / on_update_deny); the fold and the push pass run on
-  // the compute thread at barriers.  Requests are tagged with the
-  // requester's epoch and land in the matching parity bucket: a request
-  // from the *next* epoch racing the fold can never contaminate the epoch
-  // being folded.
+  // ---- push engine: admission, pending pushes, judge lists ----
+  // Admission state both keyings keep per pushed unit — a page's copyset, a
+  // (lock, page) protected-set entry.  A streak of confirming observations
+  // admits the page; a deny evicts it, and each denial doubles the streak
+  // the next admission needs (capped at 16x), so sharing that only *looks*
+  // stable — pipeline-skewed consumers, migrating molecules — stops burning
+  // pushes on admit/deny churn while a first-time page is admitted at the
+  // base threshold.
+  struct PushAdmission {
+    std::uint32_t streak = 0;
+    std::uint32_t denials = 0;
+    bool admitted = false;
+    void confirm(std::uint32_t base) {
+      if (++streak >= base << std::min<std::uint32_t>(denials, 4)) admitted = true;
+    }
+    // Evicts the page; returns whether it was admitted (a demotion — the
+    // only kind of deny that counts toward the backoff).
+    bool deny() {
+      streak = 0;
+      if (!admitted) return false;
+      admitted = false;
+      ++denials;
+      return true;
+    }
+  };
+  // Barrier keying, writer side (copyset_mu_): which nodes read the page
+  // this epoch, and the reader set the admission streak counts epochs of.
+  // Readers are recorded by the service thread (on_diff_request); the fold
+  // and the push pass run on the compute thread at barriers, and denies
+  // land on the service thread.  Requests are tagged with the requester's
+  // epoch and land in the matching parity bucket: a request from the *next*
+  // epoch racing the fold can never contaminate the epoch being folded.
   struct PageCopyset {
     std::uint64_t epoch_readers[2] = {0, 0};  // bitmask by epoch parity
     std::uint64_t stable_set = 0;
-    std::uint32_t stable_epochs = 0;
-    // Demotions seen so far: each one doubles the stability streak required
-    // to re-promote (capped), so a page whose sharing only looks stable —
-    // pipeline-skewed consumers, migrating molecules — stops burning pushes
-    // on promotion churn while a genuinely stable page is promoted as fast
-    // as ever.
-    std::uint32_t denials = 0;
-    bool promoted = false;
+    PushAdmission adm;  // streak: consecutive epochs stable_set held
   };
   std::mutex copyset_mu_;
   std::unordered_map<PageIndex, PageCopyset> copyset_;
@@ -407,26 +460,30 @@ class Node {
   // every barrier, and at fork/join boundaries (barrier-free programs never
   // push, so the list must not grow with them).
   std::unordered_map<PageIndex, std::vector<std::uint32_t>> epoch_dirty_;
-  // Pushes parked but not yet applied (push_mu_): appended by on_update_push
-  // (service thread), drained by the validate pass of the matching barrier,
-  // which is also what inserts the chunks into the page diff caches — the
-  // cache stays compute-thread-only, preserving the fault path's partition
-  // invariant.  The barrier tag is what keeps the hand-off deterministic:
-  // the service thread can run a full barrier ahead of its own compute
-  // thread, so a push for barrier k+1 may be parked before the compute
-  // thread has even woken from barrier k.
+  // Barrier pushes parked but not yet landed (push_mu_): appended by
+  // on_update_push (service thread), drained by the landing pass of the
+  // matching barrier, which is also what inserts the chunks into the page
+  // diff caches — the cache stays compute-thread-only, preserving the fault
+  // path's partition invariant.  The barrier tag is what keeps the hand-off
+  // deterministic: the service thread can run a full barrier ahead of its
+  // own compute thread, so a push for barrier k+1 may be parked before the
+  // compute thread has even woken from barrier k.
   struct PendingPush {
     std::uint64_t barrier_index = 0;
     PageIndex page = 0;
     std::uint32_t writer = 0;
-    // Chunks per pushed interval seq, held here until the validate pass.
-    std::vector<std::pair<std::uint32_t, std::vector<DiffBytes>>> seq_chunks;
+    std::vector<PushedChunk> chunks;
   };
   std::mutex push_mu_;
   std::vector<PendingPush> pending_pushes_;
-  // Pages left armed or partially covered by the last validate pass, for
-  // the next barrier's demotion scan (compute thread only).
-  std::vector<PageIndex> pushed_pages_;
+  // Pushes landed armed or partially covered, by push key, awaiting the
+  // key's judge point (compute thread only).
+  struct PushJudge {
+    PageIndex page = 0;
+    std::uint32_t pusher = 0;
+    bool armed = true;  // false: partially covered, parked not applied
+  };
+  std::unordered_map<std::uint32_t, std::vector<PushJudge>> push_judge_;
 
   // ---- barrier-GC scan index (gc_scan_mu_) ----
   // Pages that may hold unapplied notices: appended by merge_and_invalidate,
@@ -517,20 +574,14 @@ class Node {
   // by relay_prune), so pruning is O(pages with retained chunks).
   std::vector<PageIndex> relay_pages_;
 
-  // ---- migratory lock push: per-lock protected page sets ----
-  // Writer-side stats per (lock, page), guarded by lock_protect_mu_: the
-  // fold and the grant-time push assembly run on whichever thread handles
-  // the release/forward (compute or service), and kLockPushDeny lands on
+  // ---- lock keying: per-lock protected page sets ----
+  // Writer-side admission per (lock, page), guarded by lock_protect_mu_:
+  // the fold and the grant-time push assembly run on whichever thread
+  // handles the release/forward (compute or service), and denies land on
   // the service thread.
   struct LockPushStat {
-    std::uint32_t streak = 0;     // consecutive own CSes that touched the page
-    std::uint32_t untouched = 0;  // consecutive own CSes that did not
-    std::uint32_t denials = 0;    // kLockPushDeny count: each one doubles the
-                                  // touch streak required to re-admit, so a
-                                  // page whose sharing only looks migratory
-                                  // stops burning push bytes
-    std::uint32_t pushes = 0;     // pushes of this page (armed-probe cadence)
-    bool member = false;          // in the lock's push set
+    std::uint32_t untouched = 0;  // consecutive own CSes that did not touch
+    PushAdmission adm;            // streak: consecutive own CSes that did
   };
   std::mutex lock_protect_mu_;
   std::unordered_map<std::uint32_t, std::unordered_map<PageIndex, LockPushStat>>
@@ -540,18 +591,6 @@ class Node {
   // or wrote since acquiring it.  Folded into lock_protect_ at release.
   std::vector<std::uint32_t> held_locks_;
   std::unordered_map<std::uint32_t, std::vector<PageIndex>> cs_touched_;
-  // Pages this node's acquire applied *armed* — or parked a partial push
-  // for, on a probe grant — judged at its release of the same lock (compute
-  // thread only).  `armed` distinguishes the two verdicts: an armed page is
-  // dead if its probe fault never fired; a partial-push page is dead if it
-  // stayed invalid with unapplied notices through the whole critical
-  // section (no fault ever consumed the parked chunks).
-  struct LockArmed {
-    PageIndex page = 0;
-    std::uint32_t writer = 0;
-    bool armed = true;
-  };
-  std::unordered_map<std::uint32_t, std::vector<LockArmed>> lock_armed_judge_;
 
   // ---- lock client state (lock_client_mu_) ----
   struct PendingGrant {

@@ -96,10 +96,11 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
     std::lock_guard<std::mutex> lock(e.mu);
     bool temp_mapped = false;
     if (e.state == PageState::kInvalid) {
-      if (!e.ever_valid && !e.push_armed && !e.lock_push_armed)
+      if (!e.ever_valid)
         continue;  // still the initial zero page: absent = zero in the store
       // Valid-but-unmapped contents (invalidated copy already re-applied, or
-      // an armed push): map readable just long enough to copy.
+      // an armed push, which is always ever_valid): map readable just long
+      // enough to copy.
       rt_.arena().protect_read(id_, page);
       temp_mapped = true;
     }

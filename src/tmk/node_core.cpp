@@ -111,8 +111,7 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
       if (e.state != PageState::kInvalid) invalidate_page(page, e);
       // An armed page is already kInvalid; a fresh notice still stales its
       // applied-and-current contents.
-      e.push_armed = false;
-      e.lock_push_armed = false;
+      e.push_armed = PushKind::kNone;
     }
   }
   // Seed the GC validation scan with the pages that just gained notices
@@ -134,8 +133,7 @@ void Node::invalidate_page(PageIndex page, PageEntry& e) {
   materialize_twin(page, e);  // no-op without a twin
   rt_.arena().protect_none(id_, page);
   e.state = PageState::kInvalid;
-  e.push_armed = false;  // armed contents are no longer current
-  e.lock_push_armed = false;
+  e.push_armed = PushKind::kNone;  // armed contents are no longer current
   stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -45,20 +45,14 @@ void Node::handle_fault(void* addr) {
   switch (e.state) {
     case PageState::kInvalid: {
       stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-      e.push_touched = true;  // the reader still uses this data (update probe)
       lock_push_note_touch(page);
       if (e.unapplied.empty()) {
-        if (e.push_armed || e.lock_push_armed) {
-          // Armed push (barrier update protocol or lock-grant chain): the
-          // contents are already current, the fault only remaps the page —
-          // the probe that proves the reader still consumes the pushed
-          // data.  No messages.
-          if (e.push_armed)
-            stats_.update_push_hits.fetch_add(1, std::memory_order_relaxed);
-          if (e.lock_push_armed)
-            stats_.lock_push_hits.fetch_add(1, std::memory_order_relaxed);
-          e.push_armed = false;
-          e.lock_push_armed = false;
+        if (e.push_armed != PushKind::kNone) {
+          // Armed push (either keying): the contents are already current,
+          // the fault only remaps the page — the probe that proves this
+          // node still consumes the pushed data.  No messages.
+          push_hit(e.push_armed);
+          e.push_armed = PushKind::kNone;
         } else if (!e.ever_valid) {
           // First touch of a never-written page: the zero-filled local copy
           // is the correct initial contents — no communication, as in
@@ -78,7 +72,6 @@ void Node::handle_fault(void* addr) {
     case PageState::kReadOnly: {
       // Reads cannot fault on PROT_READ, so this is a write upgrade.
       stats_.write_faults.fetch_add(1, std::memory_order_relaxed);
-      e.push_touched = true;  // writes count as touches for the update probe
       lock_push_note_touch(page);
       if (e.twin_valid && e.twin.seq <= own_seq_) {
         if (e.twin.seq <= gc_reclaimed_seq_) {
@@ -115,14 +108,6 @@ void Node::handle_fault(void* addr) {
       NOW_CHECK(false) << "fault on a writable page (node " << id_ << ", page "
                        << page << ")";
   }
-}
-
-void Node::lock_push_note_touch(PageIndex page) {
-  // Critical-section attribution for the migratory lock push: the faulted
-  // page belongs to every lock this compute thread currently holds.
-  // held_locks_ is only populated while lock_push is enabled, so the
-  // default fault path pays a single empty-vector check.
-  for (std::uint32_t lock_id : held_locks_) cs_touched_[lock_id].push_back(page);
 }
 
 void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
@@ -278,7 +263,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         // An interval fetched here was absent from the cache at partition
         // time and still is: only this compute thread inserts (an update
         // push racing this fetch waits in the pending queue until the
-        // barrier's validate pass), so there is no stale entry to release.
+        // barrier's landing pass), so there is no stale entry to release.
         std::vector<DiffBytes> owned;
         if (retain) owned.reserve(it->second.size());
         for (const DiffChunkView& d : it->second) {

@@ -91,8 +91,7 @@ void Node::handle_message(sim::Message&& m) {
   switch (m.type) {
     case kDiffRequest: on_diff_request(std::move(m)); return;
     case kUpdatePush: on_update_push(std::move(m)); return;
-    case kUpdateDeny: on_update_deny(std::move(m)); return;
-    case kLockPushDeny: on_lock_push_deny(std::move(m)); return;
+    case kPushDeny: on_push_deny(std::move(m)); return;
     case kLockAcquire: on_lock_acquire(std::move(m)); return;
     case kLockForward: on_lock_forward(std::move(m)); return;
     case kBarrierArrive: on_barrier_arrive(std::move(m)); return;
@@ -195,90 +194,6 @@ void Node::on_diff_request(sim::Message&& m) {
   reply.seq = m.seq;
   reply.payload = w.take();
   send_service(std::move(reply), m.arrive_ts_ns);
-}
-
-void Node::on_update_push(sim::Message&& m) {
-  // Barrier-time update push from a writer: queue the pushed intervals for
-  // the compute thread's validate pass.  Nothing touches the page tables or
-  // diff caches here — only the compute thread mutates those, which is what
-  // keeps the fault path's cached/needed partition valid while its lock is
-  // dropped, and what keeps a push racing a pull idempotent.
-  //
-  // The push carries the writer's barrier index: this service thread can
-  // run a full barrier ahead of its own compute thread (the writer departs,
-  // sprints through its phase, and pushes for barrier k+1 while our compute
-  // thread has not yet woken from barrier k), so parked pushes are queued
-  // by barrier and the validate pass drains only its own barrier's.
-  ByteReader r(m.payload);
-  const std::uint64_t barrier_index = r.u32();
-  const std::uint32_t npages = r.u32();
-  std::vector<PendingPush> pending;
-  pending.reserve(npages);
-  for (std::uint32_t p = 0; p < npages; ++p) {
-    PendingPush pp;
-    pp.barrier_index = barrier_index;
-    pp.page = r.u32();
-    pp.writer = m.src;
-    const std::uint32_t nseqs = r.u32();
-    pp.seq_chunks.reserve(nseqs);
-    for (std::uint32_t i = 0; i < nseqs; ++i) {
-      const std::uint32_t seq = r.u32();
-      const std::uint32_t nchunks = r.u32();
-      std::vector<DiffBytes> chunks;
-      chunks.reserve(nchunks);
-      for (std::uint32_t k = 0; k < nchunks; ++k) {
-        const auto [ptr, n] = r.bytes_view();
-        chunks.emplace_back(ptr, ptr + n);
-      }
-      pp.seq_chunks.emplace_back(seq, std::move(chunks));
-    }
-    pending.push_back(std::move(pp));
-  }
-  {
-    std::lock_guard<std::mutex> lock(push_mu_);
-    for (PendingPush& pp : pending) pending_pushes_.push_back(std::move(pp));
-  }
-}
-
-void Node::on_update_deny(sim::Message&& m) {
-  // A reader stopped touching pages we push: demote them back to invalidate
-  // mode.  Re-promotion needs update_promote_epochs fresh stable epochs.
-  ByteReader r(m.payload);
-  const std::uint32_t npages = r.u32();
-  std::lock_guard<std::mutex> lock(copyset_mu_);
-  for (std::uint32_t p = 0; p < npages; ++p) {
-    const PageIndex page = r.u32();
-    PageCopyset& cs = copyset_[page];
-    if (cs.promoted) {
-      stats_.update_demotions.fetch_add(1, std::memory_order_relaxed);
-      ++cs.denials;  // re-promotion backoff; see update_copyset_fold
-    }
-    cs.promoted = false;
-    cs.stable_set = 0;
-    cs.stable_epochs = 0;
-  }
-}
-
-void Node::on_lock_push_deny(sim::Message&& m) {
-  // A holder released the lock with our pushed pages still armed (its whole
-  // critical section never touched them), or its cache budget can never
-  // park them: demote the pages from the lock's protected set.  Each denial
-  // doubles the touch streak required to re-admit (see lock_push_fold).
-  ByteReader r(m.payload);
-  const std::uint32_t lock_id = r.u32();
-  const std::uint32_t npages = r.u32();
-  std::lock_guard<std::mutex> lock(lock_protect_mu_);
-  auto& prot = lock_protect_[lock_id];
-  for (std::uint32_t p = 0; p < npages; ++p) {
-    const PageIndex page = r.u32();
-    LockPushStat& ps = prot[page];
-    if (ps.member)
-      stats_.lock_push_demotions.fetch_add(1, std::memory_order_relaxed);
-    ps.member = false;
-    ps.streak = 0;
-    ps.untouched = 0;
-    ++ps.denials;
-  }
 }
 
 void Node::on_flush_notice(sim::Message&& m) {

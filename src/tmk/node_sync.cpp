@@ -5,9 +5,7 @@
 // proposes to remove), and the Tmk_fork/Tmk_join pair OpenMP-style execution
 // rides on.
 #include <algorithm>
-#include <cstring>
 #include <map>
-#include <tuple>
 
 #include "common/bytes.h"
 #include "common/log.h"
@@ -38,10 +36,10 @@ void Node::barrier() {
       stats_.barriers.fetch_add(1, std::memory_order_relaxed);
   const bool update_on = rt_.config().update_enabled();
 
-  // Judge last epoch's pushes before anything else: armed pages still
-  // untouched demote at their writers (the denies race the writers' push
+  // Judge last epoch's landed pushes before anything else: pages still
+  // armed demote at their writers (the denies race the writers' push
   // passes at worst into one wasted push).
-  if (update_on) update_scan_demote();
+  if (update_on) push_judge(kBarrierPushKey);
   close_interval();
   // Push this epoch's diffs for promoted pages *before* the arrival is
   // sent: mailbox FIFO then guarantees every push is parked at its reader
@@ -77,7 +75,7 @@ void Node::barrier() {
   merge_and_invalidate(KnowledgeLog::deserialize_records(r));
   // With the departure's write notices merged, pages whose pushed chunks
   // fully cover their wanted intervals come out of the barrier valid.
-  if (update_on) update_validate_pushed(epoch_done);
+  if (update_on) update_land_pushed(epoch_done);
   if (rt_.config().gc_at_barriers) gc_at_barrier(floor);
   if (update_on) update_copyset_fold(epoch_done);
   ckpt_at_barrier(epoch_done);
@@ -714,344 +712,6 @@ void Node::gc_depart_apply(std::uint32_t gen, const VectorTime& floor,
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive update protocol (hybrid invalidate/update, at every barrier)
-// ---------------------------------------------------------------------------
-
-void Node::update_scan_demote() {
-  // pushed_pages_ is compute-thread-only: seeded by the previous barrier's
-  // validate pass with the pages it left armed or partially covered.
-  std::vector<PageIndex> scan;
-  scan.swap(pushed_pages_);
-  if (scan.empty()) return;
-  std::sort(scan.begin(), scan.end());
-  scan.erase(std::unique(scan.begin(), scan.end()), scan.end());
-
-  std::map<std::uint32_t, std::vector<PageIndex>> deny;  // writer -> pages
-  for (PageIndex page : scan) {
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (e.pushed_by == 0) continue;
-    if (e.push_touched) {
-      // The probe fired (or a fault on the page proved it live): the push
-      // stream earns its keep.  Fresh observation window.
-      e.push_touched = false;
-      e.pushed_by = 0;
-      continue;
-    }
-    // Pushed a whole epoch ago and never touched: the reader moved on.
-    // Demote at every writer that pushed.  The armed contents stay correct,
-    // so only the bookkeeping is dropped — a later fault on the page
-    // revalidates locally through the empty-unapplied path.
-    for (std::uint32_t wtr = 0; wtr < num_nodes_; ++wtr)
-      if (e.pushed_by & (std::uint64_t{1} << wtr)) deny[wtr].push_back(page);
-    e.pushed_by = 0;
-    e.push_armed = false;
-    e.pushes_since_probe = 0;
-  }
-  send_update_denies(deny);
-}
-
-void Node::send_update_denies(
-    const std::map<std::uint32_t, std::vector<PageIndex>>& deny) {
-  for (const auto& [wtr, pages] : deny) {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(pages.size()));
-    for (PageIndex page : pages) w.u32(page);
-    sim::Message m;
-    m.type = kUpdateDeny;
-    m.dst = wtr;
-    m.payload = w.take();
-    send_compute(std::move(m));
-  }
-}
-
-void Node::update_push_promoted(std::uint64_t barrier_index) {
-  if (epoch_dirty_.empty()) return;
-
-  // The epoch's dirty pages that are promoted, with their stable readers.
-  struct Item {
-    PageIndex page = 0;
-    const std::vector<std::uint32_t>* seqs = nullptr;
-    std::uint64_t readers = 0;
-  };
-  std::vector<Item> items;
-  {
-    std::lock_guard<std::mutex> lock(copyset_mu_);
-    for (auto& [page, seqs] : epoch_dirty_) {
-      auto it = copyset_.find(page);
-      if (it == copyset_.end() || !it->second.promoted) continue;
-      const std::uint64_t readers =
-          it->second.stable_set & ~(std::uint64_t{1} << id_);
-      if (readers == 0) continue;
-      items.push_back({page, &seqs, readers});
-    }
-  }
-  if (items.empty()) {
-    epoch_dirty_.clear();
-    return;
-  }
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.page < b.page; });
-
-  // Materialize any twin still pending for a pushed interval (the page is at
-  // most PROT_READ once its interval closed, so contents are stable; same
-  // rule as on_diff_request).
-  for (const Item& item : items) {
-    PageEntry& e = pages_[item.page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    for (std::uint32_t seq : *item.seqs)
-      if (e.twin_valid && e.twin.seq == seq) materialize_twin(item.page, e);
-  }
-
-  // One batched kUpdatePush per reader, serialized under a single diff-store
-  // hold and sent after it drops.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> msgs;
-  std::uint64_t pages_pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    for (std::uint32_t reader = 0; reader < num_nodes_; ++reader) {
-      if (reader == id_) continue;
-      const std::uint64_t bit = std::uint64_t{1} << reader;
-      std::uint32_t npages = 0;
-      for (const Item& item : items) npages += (item.readers & bit) ? 1 : 0;
-      if (npages == 0) continue;
-      ByteWriter w;
-      // Barrier tag: barrier() calls are globally aligned, so the reader's
-      // validate pass for the *same* barrier index — and only it — consumes
-      // this push (its service thread may park it a full barrier early).
-      w.u32(static_cast<std::uint32_t>(barrier_index));
-      w.u32(npages);
-      for (const Item& item : items) {
-        if (!(item.readers & bit)) continue;
-        w.u32(item.page);
-        w.u32(static_cast<std::uint32_t>(item.seqs->size()));
-        for (std::uint32_t seq : *item.seqs) {
-          // GC-floor interaction: the epoch's own intervals are always above
-          // the reclaim prefix (the floor lags the epoch by construction),
-          // so a pushed seq can never dangle into reclaimed diffs.
-          NOW_CHECK_GT(seq, gc_drop_seq_)
-              << "pushed interval below the reclaimed diff-store prefix";
-          auto it = diff_store_.find(diff_store_key(item.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "push wants missing diff: page " << item.page << " interval "
-              << seq;
-          w.u32(seq);
-          w.u32(static_cast<std::uint32_t>(it->second.size()));
-          for (const DiffBytes& d : it->second) w.bytes(d.data(), d.size());
-        }
-      }
-      msgs.emplace_back(reader, w.take());
-      pages_pushed += npages;
-    }
-  }
-  for (auto& [reader, payload] : msgs) {
-    sim::Message m;
-    m.type = kUpdatePush;
-    m.dst = reader;
-    m.payload = std::move(payload);
-    send_compute(std::move(m));
-  }
-  stats_.update_pushes_sent.fetch_add(msgs.size(), std::memory_order_relaxed);
-  stats_.update_pages_pushed.fetch_add(pages_pushed, std::memory_order_relaxed);
-  epoch_dirty_.clear();
-}
-
-void Node::update_validate_pushed(std::uint64_t barrier_index) {
-  // Drain exactly this barrier's pushes from the pending queue.  A push
-  // tagged k is guaranteed parked before this pass runs at barrier k
-  // (mailbox FIFO: the writer pushed before it could arrive, so before the
-  // departure was sent); a push tagged k+1 — a faster writer already a
-  // barrier ahead — stays queued until the records it describes have been
-  // merged.
-  std::vector<PendingPush> batch;
-  {
-    std::lock_guard<std::mutex> lock(push_mu_);
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pending_pushes_.size(); ++i) {
-      PendingPush& pp = pending_pushes_[i];
-      if (pp.barrier_index != barrier_index) {
-        if (pp.barrier_index < barrier_index) {
-          // On the perfect wire this is impossible: the writer pushed
-          // before arriving at barrier k, so mailbox FIFO parks the push
-          // before the departure that triggers this pass.  Under injected
-          // faults the cross-link transitivity breaks — the push can be
-          // dropped and its retransmission land after the validate pass —
-          // and the stale push must be discarded: the push is an
-          // optimization only (the pull path re-fetches anything it
-          // carried), while applying a stale epoch's diffs late could
-          // resurrect overwritten words.
-          NOW_CHECK(rt_.config().chaos_enabled())
-              << "update push missed its barrier";
-          stats_.update_pushes_stale.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        // A faster writer already a barrier ahead: keep until its barrier.
-        // Compact in place, guarding the self-move (v[i] = move(v[i])
-        // empties the chunk vectors).
-        if (keep != i) pending_pushes_[keep] = std::move(pp);
-        ++keep;
-        continue;
-      }
-      batch.push_back(std::move(pp));
-    }
-    pending_pushes_.resize(keep);
-  }
-  if (batch.empty()) return;
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const PendingPush& a, const PendingPush& b) {
-                     return a.page < b.page;
-                   });
-
-  const auto& cfg = rt_.config();
-  const std::size_t cache_budget = cfg.diff_cache_bytes_per_page;
-  const std::uint32_t reprobe = std::max<std::uint32_t>(1, cfg.update_reprobe_epochs);
-  std::vector<PageIndex> relist;
-  std::map<std::uint32_t, std::vector<PageIndex>> deny;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PageIndex page = batch[i].page;
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    // Park this page's pushed chunks in its diff cache (budgeted, droppable,
-    // keyed (writer, seq) exactly like a fetched reply).  This runs on the
-    // compute thread only, which is what keeps a push racing a pull
-    // idempotent: whichever applies first erases the entry, the other's
-    // copy is redundant bytes, never a second application.
-    std::uint64_t writers = 0;
-    bool any_kept = false;
-    for (; i < batch.size() && batch[i].page == page; ++i) {
-      PendingPush& pp = batch[i];
-      writers |= std::uint64_t{1} << pp.writer;
-      for (auto& [seq, chunks] : pp.seq_chunks)
-        any_kept |=
-            e.diff_cache.insert(pp.writer, seq, std::move(chunks), cache_budget,
-                                /*prefetched=*/false, /*pushed=*/true);
-    }
-    --i;  // the for-loop's ++i re-advances past this page's run
-    if (!any_kept) {
-      // The budget rejected every pushed chunk (oversized epoch diffs, or a
-      // page whose GC pins already fill it): these pushes can never land, so
-      // without a demotion the writer would re-ship the same bytes every
-      // epoch forever — the re-fetching fault keeps the copyset stable and
-      // no armed probe ever fires.  Deny now; re-promotion backs off.
-      for (std::uint32_t wtr = 0; wtr < num_nodes_; ++wtr)
-        if (writers & (std::uint64_t{1} << wtr)) deny[wtr].push_back(page);
-      continue;
-    }
-    e.pushed_by |= writers;
-    if (e.state != PageState::kInvalid || e.unapplied.empty()) {
-      // A racing pull-path fetch (lock-chain knowledge mid-epoch) already
-      // applied everything; the push was redundant bytes.  Forget it so the
-      // demotion scan doesn't misjudge the page.
-      e.pushed_by = 0;
-      continue;
-    }
-    // Eager apply only when the cached chunks cover *every* wanted interval
-    // — applying a suffix out of lamport order could resurrect overwritten
-    // bytes.  Partially covered pages stay lazy: the fault serves the cached
-    // part locally and fetches the rest.
-    bool covered = true;
-    for (const UnappliedNotice& n : e.unapplied) {
-      if (e.diff_cache.lookup(n.writer, n.seq) == nullptr) {
-        covered = false;
-        break;
-      }
-    }
-    if (!covered) {
-      relist.push_back(page);  // the demotion scan still judges it
-      continue;
-    }
-
-    std::stable_sort(e.unapplied.begin(), e.unapplied.end(), applies_before);
-    rt_.arena().protect_rw(id_, page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
-    std::size_t patched = 0;
-    std::uint64_t applied = 0;
-    for (const UnappliedNotice& n : e.unapplied) {
-      const auto* cached = e.diff_cache.find(n.writer, n.seq);
-      for (const DiffBytes& d : *cached) {
-        patched += diff_apply(mem, kPageSize, d);
-        ++applied;
-      }
-      e.diff_cache.erase(n.writer, n.seq);
-    }
-    e.unapplied.clear();
-    e.ever_valid = true;
-    stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
-    clock_.advance_us(cfg.diff_apply_per_kb_us *
-                      (static_cast<double>(patched) / 1024.0));
-
-    // Liveness probe cadence: every reprobe-th push is applied *armed* —
-    // contents current but unmapped, so the next access faults once,
-    // locally, and proves the reader still consumes the stream.  The pushes
-    // in between (including the first: promotion already rests on observed
-    // faults in consecutive epochs) validate outright and the post-barrier
-    // fault disappears.  A reader that stops consuming burns at most
-    // reprobe-1 validated pushes before a probe goes untouched and the
-    // demotion lands.
-    const bool probe = (++e.pushes_since_probe % reprobe) == 0;
-    if (probe) {
-      rt_.arena().protect_none(id_, page);
-      e.push_armed = true;
-      e.push_touched = false;
-      relist.push_back(page);  // the next barrier's scan judges the probe
-    } else {
-      rt_.arena().protect_read(id_, page);
-      e.state = PageState::kReadOnly;
-      e.pushed_by = 0;
-      stats_.update_push_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!relist.empty())
-    pushed_pages_.insert(pushed_pages_.end(), relist.begin(), relist.end());
-  send_update_denies(deny);
-}
-
-void Node::update_copyset_fold(std::uint64_t epoch) {
-  const std::uint32_t promote = rt_.config().update_promote_epochs;
-  std::lock_guard<std::mutex> lock(copyset_mu_);
-  for (auto it = copyset_.begin(); it != copyset_.end();) {
-    PageCopyset& cs = it->second;
-    const std::uint64_t cur = cs.epoch_readers[epoch & 1];
-    cs.epoch_readers[epoch & 1] = 0;
-    if (cs.promoted) {
-      // A request while promoted is a newcomer (or a demoted reader faulting
-      // its way back): fold it into the push set — the armed probe demotes
-      // it again if the interest was transient.
-      cs.stable_set |= cur;
-      ++it;
-      continue;
-    }
-    if (cur == 0) {
-      // No requests this epoch is no evidence either way: the writer may
-      // not have written (nothing to fetch), or reads alternate with
-      // compute phases.  Keep the streak — a *changed* reader set breaks
-      // it below, and a stale promotion is the armed probe's job to kill.
-      if (cs.stable_set == 0 && cs.epoch_readers[(epoch + 1) & 1] == 0) {
-        // Never-stable and quiescent: drop the entry so the copyset map
-        // tracks live sharing, not history.
-        it = copyset_.erase(it);
-      } else {
-        ++it;
-      }
-      continue;
-    }
-    if (cur == cs.stable_set) {
-      ++cs.stable_epochs;
-    } else {
-      cs.stable_set = cur;
-      cs.stable_epochs = 1;
-    }
-    // Each past demotion doubles the streak required to re-promote (capped):
-    // sharing that only *looks* stable stops churning promote/demote cycles,
-    // while a first-time-stable page promotes at the configured threshold.
-    const std::uint32_t threshold =
-        promote << std::min<std::uint32_t>(cs.denials, 4);
-    if (cs.stable_epochs >= threshold) cs.promoted = true;
-    ++it;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Locks
 // ---------------------------------------------------------------------------
 
@@ -1065,7 +725,7 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
   // write notices the records just created) and runs on this compute thread,
   // which is the only mutator of the page diff caches — the same partition
   // invariant the fault path relies on.
-  apply_lock_push(lock_id, grant.src, r);
+  lock_land_push(lock_id, grant.src, r);
   if (rt_.config().gc_lock_floors) gc_raise_floor(floor);
   // Retained relay chunks at or below the applied floor can never serve a
   // fault nor ride a future grant delta again: drop them here, on the chain
@@ -1079,7 +739,7 @@ void Node::lock_acquire(std::uint32_t lock_id) {
   maybe_crash();  // "mid lock chain" crash site (requester side)
   gc_poll();
   stats_.lock_acquires.fetch_add(1, std::memory_order_relaxed);
-  const bool lock_push = rt_.config().lock_push_enabled();
+  NOW_CHECK_NE(lock_id, kBarrierPushKey) << "lock id reserved as a push key";
   {
     std::lock_guard<std::mutex> lock(lock_client_mu_);
     LockClientState& st = lock_client_[lock_id];
@@ -1089,10 +749,7 @@ void Node::lock_acquire(std::uint32_t lock_id) {
       // caching).  Consistency needs nothing: the release chain ends here.
       st.held = true;
       stats_.lock_acquires_cached.fetch_add(1, std::memory_order_relaxed);
-      if (lock_push) {
-        held_locks_.push_back(lock_id);
-        cs_touched_[lock_id].clear();
-      }
+      lock_push_begin_cs(lock_id);
       return;
     }
     st.awaiting = true;
@@ -1122,10 +779,7 @@ void Node::lock_acquire(std::uint32_t lock_id) {
     st.cached = true;
     st.awaiting = false;
   }
-  if (lock_push) {
-    held_locks_.push_back(lock_id);
-    cs_touched_[lock_id].clear();
-  }
+  lock_push_begin_cs(lock_id);
 }
 
 void Node::lock_release(std::uint32_t lock_id) {
@@ -1133,16 +787,10 @@ void Node::lock_release(std::uint32_t lock_id) {
   maybe_crash();  // "mid lock chain" crash site (holder side: grant withheld)
   gc_poll();
   close_interval();
-  if (rt_.config().lock_push_enabled()) {
-    held_locks_.erase(
-        std::remove(held_locks_.begin(), held_locks_.end(), lock_id),
-        held_locks_.end());
-    // Fold before any grant can be assembled for this release: the pending
-    // grant below (and any later cached grant from the service thread) reads
-    // the protected set the fold just updated.
-    lock_push_fold(lock_id);
-    lock_push_judge(lock_id);
-  }
+  // Fold before any grant can be assembled for this release: the pending
+  // grant below (and any later cached grant from the service thread) reads
+  // the protected set the fold just updated.
+  lock_push_end_cs(lock_id);
   std::optional<PendingGrant> pending;
   {
     std::lock_guard<std::mutex> lock(lock_client_mu_);
@@ -1287,440 +935,6 @@ void Node::on_lock_forward(sim::Message&& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Migratory lock push: diffs piggybacked on the kLockGrant chain
-// ---------------------------------------------------------------------------
-
-void Node::lock_push_fold(std::uint32_t lock_id) {
-  std::vector<PageIndex> touched;
-  auto tit = cs_touched_.find(lock_id);
-  if (tit != cs_touched_.end()) touched = std::move(tit->second);
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  const std::uint32_t probe =
-      std::max<std::uint32_t>(1, rt_.config().lock_push_probe);
-  std::lock_guard<std::mutex> lock(lock_protect_mu_);
-  auto& prot = lock_protect_[lock_id];
-  for (PageIndex pg : touched) {
-    LockPushStat& ps = prot[pg];
-    ps.untouched = 0;
-    ++ps.streak;
-    // Exponential re-admission backoff: each past denial doubles the touch
-    // streak required before the page pushes again (capped), so sharing
-    // that only *looks* migratory stops burning push bytes while a page
-    // touched in every critical section joins the set immediately.
-    const std::uint32_t need = 1u << std::min<std::uint32_t>(ps.denials, 4);
-    if (ps.streak >= need) ps.member = true;
-  }
-  for (auto it = prot.begin(); it != prot.end();) {
-    if (std::binary_search(touched.begin(), touched.end(), it->first)) {
-      ++it;
-      continue;
-    }
-    LockPushStat& ps = it->second;
-    ps.streak = 0;
-    if (++ps.untouched >= probe) {
-      // Untouched for lock_push_probe consecutive of our own critical
-      // sections: the page is no longer part of what this lock protects.
-      ps.member = false;
-      if (ps.denials == 0) {
-        // Quiescent and never denied: forget the page entirely, so the map
-        // tracks live sharing rather than history.
-        it = prot.erase(it);
-        continue;
-      }
-    }
-    ++it;
-  }
-}
-
-void Node::lock_push_judge(std::uint32_t lock_id) {
-  auto it = lock_armed_judge_.find(lock_id);
-  if (it == lock_armed_judge_.end() || it->second.empty()) return;
-  std::vector<LockArmed> armed = std::move(it->second);
-  it->second.clear();
-
-  std::map<std::uint32_t, std::vector<PageIndex>> deny;  // pusher -> pages
-  for (const LockArmed& a : armed) {
-    PageEntry& e = pages_[a.page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (a.armed) {
-      // Still armed after the whole critical section ran: the push was dead
-      // weight.  (A consumed probe cleared the flag at its fault and counted
-      // a hit; a fresh write notice also cleared it — no verdict then.)
-      if (!e.lock_push_armed) continue;
-      e.lock_push_armed = false;  // contents stay current; bookkeeping drops
-    } else {
-      // Partial-push probe: the chunks were parked, not applied.  If the
-      // page is still invalid with unapplied notices, no fault consumed
-      // them all critical section long — the pusher is shipping bytes
-      // nobody reads — while a page that went valid was read: no verdict.
-      // Heuristic, not proof: a page consumed mid-CS and then re-staled by
-      // an unrelated sync (a flush notice, say) is denied unfairly.  The
-      // verdict only moves bookkeeping — a hot page re-admits after the
-      // backoff streak of touched critical sections, contents never depend
-      // on it.
-      if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-    }
-    deny[a.writer].push_back(a.page);
-  }
-  for (const auto& [pusher, pages] : deny)
-    send_lock_push_deny(lock_id, pusher, pages);
-}
-
-void Node::send_lock_push_deny(std::uint32_t lock_id, std::uint32_t pusher,
-                               const std::vector<PageIndex>& pages) {
-  ByteWriter w;
-  w.u32(lock_id);
-  w.u32(static_cast<std::uint32_t>(pages.size()));
-  for (PageIndex pg : pages) w.u32(pg);
-  sim::Message m;
-  m.type = kLockPushDeny;
-  m.dst = pusher;
-  m.payload = w.take();
-  send_compute(std::move(m));
-}
-
-void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
-                            const VectorTime& req_vt,
-                            const std::vector<IntervalRecordPtr>& delta) {
-  const auto& cfg = rt_.config();
-  if (!cfg.lock_push_enabled() || delta.empty()) {
-    w.u32(0);
-    return;
-  }
-
-  // Candidate pages: protected-set members named by the delta's records.
-  // Records of *other* nodes matter too — on a rotating grant chain the
-  // delta relays the whole chain history the requester missed, so a page
-  // everyone updates under the lock carries several writers' notices.  Our
-  // own intervals' diffs come from the diff store; relayed writers' diffs
-  // come from this page's requester-side cache, where the fault path and
-  // the push-apply path *retain* chunks for lock-touched pages exactly so
-  // the chain can forward them (the migratory relay).  A page the relay
-  // cannot fully cover falls back to the whole-page image, and failing
-  // that to a partial own-diff push or the plain pull path.
-  struct Cand {
-    PageIndex page = 0;
-    // Every delta record naming the page, as (writer, seq) in delta order.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
-  };
-  std::vector<Cand> cands;
-  {
-    std::lock_guard<std::mutex> lock(lock_protect_mu_);
-    auto it = lock_protect_.find(lock_id);
-    if (it == lock_protect_.end()) {
-      w.u32(0);
-      return;
-    }
-    std::map<PageIndex, std::size_t> index;
-    for (const IntervalRecordPtr& rec : delta) {
-      for (PageIndex pg : rec->pages) {
-        auto ps = it->second.find(pg);
-        if (ps == it->second.end() || !ps->second.member) continue;
-        auto [slot, fresh] = index.emplace(pg, cands.size());
-        if (fresh) cands.push_back({pg, {}});
-        cands[slot->second].entries.emplace_back(rec->node, rec->seq);
-      }
-    }
-  }
-  if (cands.empty()) {
-    w.u32(0);
-    return;
-  }
-
-  // Whole-page images are sound only when our knowledge dominates the
-  // requester's: then everything it could already have applied to the page,
-  // our valid copy contains too, and the memcpy can never clobber a
-  // concurrent writer's applied words.  The snapshot vector time rides with
-  // each image so the requester can verify coverage of every notice it
-  // holds.  (Diff pushes need no such guard — they patch exactly the bytes
-  // the named intervals wrote, like any fetched diff.)
-  bool dominates = true;
-  VectorTime grant_vt;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    grant_vt = log_.vt();
-    for (std::uint32_t i = 0; i < num_nodes_; ++i) {
-      if (req_vt[i] > grant_vt[i]) {
-        dominates = false;
-        break;
-      }
-    }
-  }
-
-  const std::size_t image_sz = kPageSize + 6 + 4 * num_nodes_;
-  ByteWriter pw;  // entries, counted as we go (npush is written first below)
-  std::uint32_t npush = 0;
-  std::size_t budget = cfg.lock_push_bytes;
-  const std::uint32_t reprobe =
-      std::max<std::uint32_t>(1, cfg.lock_push_reprobe);
-  for (const Cand& c : cands) {
-    PageEntry& e = pages_[c.page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    // Materialize any twin still pending for a pushed own interval (the
-    // page is at most PROT_READ once its interval closed, so its bytes are
-    // stable; same rule — and same e.mu-before-store_mu_ order — as
-    // on_diff_request).
-    for (const auto& [wtr, seq] : c.entries)
-      if (wtr == id_ && e.twin_valid && e.twin.seq == seq)
-        materialize_twin(c.page, e);
-
-    // Size the push: own intervals from the diff store, relayed ones from
-    // the page's retained cache.  Own store entries cannot be reclaimed
-    // underneath this grant (delta seqs are above the requester's vector
-    // time, which dominates every announced floor, and own-diff reclamation
-    // lags the floor by one reclamation point — the NOW_CHECK fails loudly
-    // if that invariant is ever broken); retained cache entries are stable
-    // under e.mu, which we hold until they are serialized.
-    std::size_t diff_sz = 0;
-    std::size_t own_sz = 0;  // the subset a partial push actually serializes
-    bool relay_covered = true;
-    std::size_t own = 0;
-    {
-      std::lock_guard<std::mutex> sl(store_mu_);
-      for (const auto& [wtr, seq] : c.entries) {
-        if (wtr == id_) {
-          auto it = diff_store_.find(diff_store_key(c.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "lock push sourced a reclaimed diff: page " << c.page
-              << " interval " << seq;
-          ++own;
-          std::size_t sz = 12;  // writer + seq + chunk count
-          for (const DiffBytes& d : it->second) sz += 4 + d.size();
-          diff_sz += sz;
-          own_sz += sz;
-        } else if (const auto* chunks = e.diff_cache.find(wtr, seq)) {
-          diff_sz += 12;
-          for (const DiffBytes& d : *chunks) diff_sz += 4 + d.size();
-        } else {
-          relay_covered = false;  // evicted (or never seen): no full relay
-        }
-      }
-    }
-
-    // Image fallback: the relay cannot cover the page (missing foreign
-    // chunks) or a dense rewrite made the chunked diffs outgrow the page.
-    std::vector<std::uint8_t> image;
-    if ((!relay_covered || diff_sz > kPageSize) && dominates &&
-        image_sz <= budget && e.state == PageState::kReadOnly) {
-      // kReadOnly only: a writable page is mid-interval on our own compute
-      // thread and copying it would race the writes byte-for-byte.
-      const std::uint8_t* mem = rt_.arena().page_ptr(id_, c.page);
-      image.assign(mem, mem + kPageSize);
-    }
-    const bool as_image = !image.empty();
-    const bool as_diffs = !as_image && relay_covered && diff_sz <= budget &&
-                          diff_sz <= kPageSize;
-    // Partial own-diff push: the requester still pulls the rest, but skips
-    // the round trip to *us* (its fault finds our chunks cached).  Only the
-    // own bytes are serialized, so only they are charged to the budget.
-    const bool as_partial =
-        !as_image && !as_diffs && own > 0 && own_sz <= budget;
-    if (!as_image && !as_diffs && !as_partial) continue;  // plain pull path
-
-    // Armed-probe cadence: every reprobe-th push of this (lock, page) is
-    // applied armed at the requester, proving the chain still consumes it.
-    bool arm = false;
-    {
-      std::lock_guard<std::mutex> plock(lock_protect_mu_);
-      LockPushStat& ps = lock_protect_[lock_id][c.page];
-      arm = (++ps.pushes % reprobe) == 0;
-    }
-
-    pw.u32(c.page);
-    pw.u8(as_image ? 1 : 0);
-    pw.u8(arm ? 1 : 0);
-    if (as_image) {
-      KnowledgeLog::serialize_vt(pw, grant_vt);
-      pw.bytes(image.data(), image.size());
-      budget -= image_sz;
-    } else {
-      ByteWriter entries;
-      std::uint32_t n = 0;
-      std::lock_guard<std::mutex> sl(store_mu_);
-      for (const auto& [wtr, seq] : c.entries) {
-        const std::vector<DiffBytes>* chunks = nullptr;
-        if (wtr == id_) {
-          auto it = diff_store_.find(diff_store_key(c.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "lock push sourced a reclaimed diff: page " << c.page
-              << " interval " << seq;
-          chunks = &it->second;
-        } else if (as_diffs) {
-          chunks = e.diff_cache.find(wtr, seq);
-          NOW_CHECK(chunks != nullptr);  // stable under e.mu since sizing
-        } else {
-          continue;  // partial push: own intervals only
-        }
-        entries.u32(wtr);
-        entries.u32(seq);
-        entries.u32(static_cast<std::uint32_t>(chunks->size()));
-        for (const DiffBytes& d : *chunks) entries.bytes(d.data(), d.size());
-        ++n;
-      }
-      pw.u32(n);
-      pw.raw(entries.data().data(), entries.size());
-      budget -= as_diffs ? diff_sz : own_sz;
-    }
-    ++npush;
-  }
-  w.u32(npush);
-  if (npush > 0) {
-    w.raw(pw.data().data(), pw.size());
-    stats_.lock_pushes_sent.fetch_add(1, std::memory_order_relaxed);
-    stats_.lock_pages_pushed.fetch_add(npush, std::memory_order_relaxed);
-  }
-}
-
-void Node::apply_lock_push(std::uint32_t lock_id, std::uint32_t writer,
-                           ByteReader& r) {
-  const std::uint32_t npush = r.u32();
-  if (npush == 0) return;
-  const auto& cfg = rt_.config();
-  const std::size_t cache_budget = cfg.diff_cache_bytes_per_page;
-  std::size_t patched = 0;
-  std::uint64_t applied = 0;
-  std::vector<PageIndex> deny;  // pushes the cache budget can never hold
-
-  auto finish = [&](PageEntry& e, PageIndex page, bool arm) {
-    e.ever_valid = true;
-    if (arm) {
-      // Probe: contents current, page left unmapped — the critical
-      // section's first access faults once, locally, and the release
-      // judges a page still armed as a dead push (lock_push_judge).
-      rt_.arena().protect_none(id_, page);
-      e.lock_push_armed = true;
-      lock_armed_judge_[lock_id].push_back({page, writer, /*armed=*/true});
-    } else {
-      rt_.arena().protect_read(id_, page);
-      e.state = PageState::kReadOnly;
-      stats_.lock_push_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  for (std::uint32_t p = 0; p < npush; ++p) {
-    const PageIndex page = r.u32();
-    const std::uint8_t kind = r.u8();
-    const bool arm = r.u8() != 0;
-    PageEntry& e = pages_[page];
-
-    if (kind == 1) {  // whole-page image
-      const VectorTime img_vt = KnowledgeLog::deserialize_vt(r);
-      const auto [img, n] = r.bytes_view();
-      NOW_CHECK_EQ(n, kPageSize);
-      std::lock_guard<std::mutex> lock(e.mu);
-      if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-      // The granter's valid copy had every notice it knew applied, so the
-      // image covers exactly the notices at or below its snapshot vector
-      // time — including the relayed chain history of other writers.  A
-      // notice above it (a writer concurrent with the granter) cannot be
-      // ordered against the image: pull path instead.
-      bool covered = true;
-      for (const UnappliedNotice& un : e.unapplied) {
-        if (un.seq > img_vt[un.writer]) {
-          covered = false;
-          break;
-        }
-      }
-      if (!covered) continue;
-      rt_.arena().protect_rw(id_, page);
-      std::memcpy(rt_.arena().page_ptr(id_, page), img, kPageSize);
-      patched += kPageSize;
-      ++applied;
-      e.unapplied.clear();
-      finish(e, page, arm);
-      continue;
-    }
-
-    // Diff push: own the chunks and park them in the page's cache, keyed
-    // (writer, seq) exactly like a fetched reply — idempotent against any
-    // concurrent pull of the same intervals.  Applied entries are RETAINED
-    // (not erased): this page is lock-protected, and the retained chunks
-    // are what lets our own later grant relay the chain's accumulated
-    // diffs onward instead of shipping whole-page images.
-    const std::uint32_t nentries = r.u32();
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, std::vector<DiffBytes>>>
-        wire(nentries);
-    for (std::uint32_t i = 0; i < nentries; ++i) {
-      std::get<0>(wire[i]) = r.u32();
-      std::get<1>(wire[i]) = r.u32();
-      const std::uint32_t nchunks = r.u32();
-      std::get<2>(wire[i]).reserve(nchunks);
-      for (std::uint32_t k = 0; k < nchunks; ++k) {
-        const auto [ptr, nb] = r.bytes_view();
-        std::get<2>(wire[i]).emplace_back(ptr, ptr + nb);
-      }
-    }
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-    bool any_kept = false;
-    for (auto& [wtr, seq, chunks] : wire)
-      any_kept |= e.diff_cache.insert(wtr, seq, std::move(chunks),
-                                      cache_budget, /*prefetched=*/false,
-                                      /*pushed=*/true);
-    // Retained entries on this lock-protected page are relay stock: mark
-    // them so the prune pass can drop them once a floor covers them
-    // (mark_relay no-ops on budget-rejected keys).
-    for (const auto& [wtr, seq, chunks] : wire) e.diff_cache.mark_relay(wtr, seq);
-    if (any_kept) relay_note(page);
-    if (!any_kept) {
-      // The cache budget rejected every chunk (GC pins already fill it, or
-      // oversized diffs): these pushes can never land, and the re-fetching
-      // fault would keep the protected set stable forever.  Deny now;
-      // re-admission backs off.
-      deny.push_back(page);
-      continue;
-    }
-    // Apply only when the cache now covers every wanted interval — applying
-    // a suffix out of lamport order could resurrect overwritten bytes.
-    // Partially covered pages stay lazy: the fault serves the cached part
-    // locally and fetches only the rest.
-    bool covered = true;
-    for (const UnappliedNotice& un : e.unapplied) {
-      if (e.diff_cache.lookup(un.writer, un.seq) == nullptr) {
-        covered = false;
-        break;
-      }
-    }
-    if (!covered) {
-      // Partially covered: the parked chunks serve the fault if one comes.
-      // On a probe grant, judge that at release — a page that stays invalid
-      // through the whole critical section is a dead push and must demote,
-      // or a chronic partial pusher would ship its bytes forever.
-      if (arm) lock_armed_judge_[lock_id].push_back({page, writer, false});
-      continue;
-    }
-    std::stable_sort(e.unapplied.begin(), e.unapplied.end(), applies_before);
-    rt_.arena().protect_rw(id_, page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
-    for (const UnappliedNotice& un : e.unapplied) {
-      const auto* cached = e.diff_cache.lookup(un.writer, un.seq);
-      NOW_CHECK(cached != nullptr);
-      for (const DiffBytes& d : cached->chunks) {
-        patched += diff_apply(mem, kPageSize, d);
-        ++applied;
-      }
-      // Droppable entries are retained for the migratory relay; pinned ones
-      // (barrier-GC stashes of reclaimed diffs) must release on apply, same
-      // as on the fault path — their seqs are below the GC floor, so no
-      // grant delta can ever name them again and a stale pin would leak
-      // pinned bytes forever.
-      if (cached->pinned) e.diff_cache.erase(un.writer, un.seq);
-    }
-    e.unapplied.clear();
-    finish(e, page, arm);
-  }
-
-  if (applied > 0) {
-    stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
-    clock_.advance_us(cfg.diff_apply_per_kb_us *
-                      (static_cast<double>(patched) / 1024.0));
-  }
-  if (!deny.empty()) send_lock_push_deny(lock_id, writer, deny);
-}
-
-// ---------------------------------------------------------------------------
 // Semaphores
 // ---------------------------------------------------------------------------
 
@@ -1817,17 +1031,10 @@ void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
   gc_poll();
   stats_.cond_ops.fetch_add(1, std::memory_order_relaxed);
   close_interval();
-  const bool lock_push = rt_.config().lock_push_enabled();
-  if (lock_push) {
-    // cond_wait releases the lock: fold and judge the ending critical
-    // section exactly as lock_release does, before any grant can be built
-    // from this release.
-    held_locks_.erase(
-        std::remove(held_locks_.begin(), held_locks_.end(), lock_id),
-        held_locks_.end());
-    lock_push_fold(lock_id);
-    lock_push_judge(lock_id);
-  }
+  // cond_wait releases the lock: fold and judge the ending critical section
+  // exactly as lock_release does, before any grant can be built from this
+  // release.
+  lock_push_end_cs(lock_id);
 
   // Register at the manager FIRST: the wait message reaches the manager's
   // mailbox before any signal that the lock's next holder could issue, which
@@ -1896,10 +1103,7 @@ void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
     st.cached = true;
     st.awaiting = false;
   }
-  if (lock_push) {
-    held_locks_.push_back(lock_id);
-    cs_touched_[lock_id].clear();
-  }
+  lock_push_begin_cs(lock_id);
   NOW_LOG(kDebug, "node %u: cond_wait(%u,%u) woke", id_, lock_id, cond_id);
 }
 

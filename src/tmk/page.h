@@ -65,9 +65,9 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //    can always refetch what eviction lost.  When a barrier-GC floor later
 //    covers a prefetched entry, the validation pass promotes it to a pin
 //    in place rather than refetching;
-//  - the adaptive update protocol (budgeted FIFO insert, pushed provenance):
-//    a writer's barrier-time kUpdatePush parks the epoch's diffs here and
-//    the reader's barrier departure applies any page whose wanted intervals
+//  - the push engine (budgeted FIFO insert): both push keyings — the
+//    barrier-time kUpdatePush and the kLockGrant push section — park their
+//    chunks here, and the landing applies any page whose wanted intervals
 //    are fully covered, skipping the fault.  Keying by (writer, seq) is what
 //    makes a push racing a pull-path fetch idempotent: whichever applies
 //    first erases the entry, the other's copy is redundant bytes, never a
@@ -84,7 +84,6 @@ class PageDiffCache {
     std::vector<DiffBytes> chunks;
     bool pinned = false;      // exempt from FIFO eviction (barrier-GC)
     bool prefetched = false;  // arrived via multi-page prefetch (stats only)
-    bool pushed = false;      // arrived via kUpdatePush (stats only)
     bool relayed = false;     // retained for the migratory lock relay
   };
 
@@ -106,7 +105,7 @@ class PageDiffCache {
   // if the entry resides in the cache afterwards.
   bool insert(std::uint32_t writer, std::uint32_t seq,
               std::vector<DiffBytes> chunks, std::size_t budget_bytes,
-              bool prefetched = false, bool pushed = false) {
+              bool prefetched = false) {
     const std::uint64_t k = key(writer, seq);
     if (map_.count(k)) return true;
     std::size_t sz = 0;
@@ -129,7 +128,7 @@ class PageDiffCache {
     if (bytes_ + sz > budget_bytes) return false;
     add_bytes(sz);
     order_.push_back(k);
-    map_.emplace(k, Entry{std::move(chunks), /*pinned=*/false, prefetched, pushed});
+    map_.emplace(k, Entry{std::move(chunks), /*pinned=*/false, prefetched});
     return true;
   }
 
@@ -147,8 +146,7 @@ class PageDiffCache {
     add_bytes(sz);
     pinned_bytes_ += sz;
     // Deliberately not queued in order_, so the eviction loop never sees it.
-    map_.emplace(key(writer, seq), Entry{std::move(chunks), /*pinned=*/true,
-                                         /*prefetched=*/false, /*pushed=*/false});
+    map_.emplace(key(writer, seq), Entry{std::move(chunks), /*pinned=*/true});
   }
 
   // Promotes an already-held entry to pinned (no-op on pins).  The GC
@@ -242,6 +240,10 @@ class PageDiffCache {
   std::atomic<std::size_t>* total_ = nullptr;  // node-wide mirror of bytes_
 };
 
+// Which push keying left a page armed (PageEntry::push_armed): the barrier
+// keying (update mode) or the lock keying (lock push).
+enum class PushKind : std::uint8_t { kNone, kBarrier, kLock };
+
 struct PageEntry {
   // Serializes page-state transitions between the node's compute thread
   // (faults, invalidations) and its service thread (diff materialization).
@@ -261,34 +263,19 @@ struct PageEntry {
   // Diff chunks this node has already fetched for the page (guarded by mu).
   PageDiffCache diff_cache;
 
-  // ---- adaptive update protocol, reader side (guarded by mu) ----
-  // Armed: every wanted diff has been applied and the contents are current,
+  // ---- push engine, landing side (guarded by mu) ----
+  // Armed: a push applied every wanted diff and the contents are current,
   // but the page is deliberately left unmapped so the next access faults
-  // once, locally — the liveness probe of the update protocol.  The probe
-  // fault sets `push_touched`; an armed page still untouched when the next
-  // barrier's demotion scan runs is evidence the reader stopped using the
-  // data, and demotes it at the writers.
-  bool push_armed = false;
-  // Any fault on the page since the last barrier's demotion scan (cheap
-  // proxy for "the reader still uses this data"; reads of a valid page are
-  // invisible, which is exactly what the armed probe exists to sample).
-  bool push_touched = false;
-  // Writers whose pushes landed since the last demotion scan (bitmask by
-  // node id; kUpdateDeny targets).
-  std::uint64_t pushed_by = 0;
-  // Pushes applied to this page since promotion; schedules the armed probes
-  // (every update_reprobe_epochs-th push — the ones in between validate
-  // outright).  Reset on demotion.
+  // once, locally — the liveness probe both push keyings share.  Records
+  // which keying armed it (the probe fault counts that keying's hit).  A
+  // page still armed when its push key is judged (the next barrier entry,
+  // or this node's release of the pushing lock) was a dead push, and the
+  // pushers are denied (kPushDeny).
+  PushKind push_armed = PushKind::kNone;
+  // Pushes applied to this page since the last denial; schedules the armed
+  // probes (every Nth applied push, N per keying — the ones in between
+  // validate outright).
   std::uint32_t pushes_since_probe = 0;
-
-  // ---- migratory lock push, holder side (guarded by mu) ----
-  // Armed by a lock-grant push: contents current, page deliberately left
-  // unmapped so the next access faults once, locally — the probe proving
-  // this holder still touches the lock's protected pages.  Judged at this
-  // node's release of the pushing lock (Node::lock_push_judge): still armed
-  // there means the whole critical section ran without touching the page,
-  // and the pusher is denied.
-  bool lock_push_armed = false;
 };
 
 }  // namespace now::tmk

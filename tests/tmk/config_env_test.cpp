@@ -65,14 +65,6 @@ TEST(ConfigEnv, LockPushKnobsOverrideDefaults) {
     EXPECT_TRUE(DsmConfig{}.lock_push_enabled());
   }
   {
-    ScopedEnv env("TMK_LOCK_PUSH_PROBE", "5");
-    EXPECT_EQ(DsmConfig{}.lock_push_probe, 5u);
-  }
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_REPROBE", "2");
-    EXPECT_EQ(DsmConfig{}.lock_push_reprobe, 2u);
-  }
-  {
     ScopedEnv env("TMK_GC_FORK_JOIN", "0");
     EXPECT_FALSE(DsmConfig{}.gc_fork_join);
   }
@@ -267,8 +259,8 @@ TEST(ConfigEnvDeathTest, RejectsMalformedLockPushKnobs) {
     EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_BYTES");
   }
   {
-    ScopedEnv env("TMK_LOCK_PUSH_PROBE", " 8");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_PROBE");
+    ScopedEnv env("TMK_PREFETCH_PAGES", " 8");
+    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_PREFETCH_PAGES");
   }
   {
     ScopedEnv env("TMK_GC_LOCK_FLOORS", "yes");
