@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the DSM primitives (host-time costs of
-// the building blocks: RLE diffs, twins, interval-log operations).
+// the building blocks: RLE diffs, twins, interval-log operations, runtime
+// set-up).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "tmk/diff.h"
 #include "tmk/intervals.h"
+#include "tmk/tmk.h"
 
 namespace {
 
@@ -119,6 +121,21 @@ void BM_IntervalMergeAndDelta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntervalMergeAndDelta)->Arg(2)->Arg(8);
+
+// Building a runtime, running an empty SPMD program and tearing it down, on
+// the shape the repository benchmark builds per pass: 4 nodes, 96 MB heap.
+// The page table is allocated lazily, so this should not scale with the heap.
+void BM_DsmRuntimeSetup(benchmark::State& state) {
+  now::tmk::DsmConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.heap_bytes = std::size_t{96} << 20;
+  for (auto _ : state) {
+    now::tmk::DsmRuntime rt(cfg);
+    now::tmk::RunReport report = rt.run_spmd([](now::tmk::Tmk&) {});
+    benchmark::DoNotOptimize(report);
+  }
+}
+BENCHMARK(BM_DsmRuntimeSetup)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

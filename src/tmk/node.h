@@ -100,6 +100,9 @@ class Node {
     }
   };
   MetaFootprint meta_footprint();
+  // Page-table chunks this node has allocated (kPageChunkPages pages each).
+  // Host memory, not consistency metadata: outside MetaFootprint.
+  std::size_t page_chunks() const { return pages_.chunks(); }
   // Prints lock-client and manager state to stderr (deadlock forensics).
   void debug_dump();
 
@@ -403,8 +406,8 @@ class Node {
   sim::CpuMeter cpu_meter_;
   DsmStats stats_;
 
-  // ---- page table ----
-  std::vector<PageEntry> pages_;
+  // ---- page table (chunks allocated on first touch) ----
+  PageTable pages_;
   std::vector<PageIndex> dirty_pages_;  // open interval's writes (compute only)
 
   // ---- diff store: (page, own interval seq) -> diff chunks ----
@@ -567,7 +570,7 @@ class Node {
   std::uint32_t gc_gen_requested_ = 0;
   // O(1) footprint mirrors for the ceiling check: the diff store's payload
   // bytes, and the sum of every page diff cache's bytes (bound via
-  // PageDiffCache::bind_total at construction).
+  // PageDiffCache::bind_total as the page table allocates each chunk).
   std::atomic<std::size_t> diff_store_bytes_{0};
   std::atomic<std::size_t> diff_cache_total_bytes_{0};
   // Pages holding relay-retained chunks (compute thread only; deduplicated

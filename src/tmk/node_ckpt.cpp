@@ -76,13 +76,13 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
   // (and the memcmp against the durable image) parallelizes across nodes.
   // Each page is materialized to its globally current contents first — the
   // barrier merged every write notice, so applying what is still unapplied
-  // here yields exactly the bytes every node would fault in.
+  // here yields exactly the bytes every node would fault in.  Pages whose
+  // page-table chunk is absent were never touched here: still the initial
+  // zero page, absent = zero in the store.
   std::uint64_t staged = 0;
   std::uint64_t unchanged = 0;
-  const std::size_t num_pages = cfg.num_pages();
-  for (PageIndex page = static_cast<PageIndex>(id_);
-       page < static_cast<PageIndex>(num_pages); page += num_nodes_) {
-    PageEntry& e = pages_[page];
+  pages_.for_each([&](PageIndex page, PageEntry& e) {
+    if (page % num_nodes_ != id_) return;
     bool has_notices;
     {
       std::lock_guard<std::mutex> lock(e.mu);
@@ -96,8 +96,7 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
     std::lock_guard<std::mutex> lock(e.mu);
     bool temp_mapped = false;
     if (e.state == PageState::kInvalid) {
-      if (!e.ever_valid)
-        continue;  // still the initial zero page: absent = zero in the store
+      if (!e.ever_valid) return;  // still the initial zero page
       // Valid-but-unmapped contents (invalidated copy already re-applied, or
       // an armed push, which is always ever_valid): map readable just long
       // enough to copy.
@@ -109,7 +108,7 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
     else
       ++unchanged;
     if (temp_mapped) rt_.arena().protect_none(id_, page);
-  }
+  });
   stats_.ckpt_bytes_written.fetch_add(staged * kPageSize,
                                       std::memory_order_relaxed);
   stats_.ckpt_pages_incremental.fetch_add(unchanged, std::memory_order_relaxed);

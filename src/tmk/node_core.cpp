@@ -14,7 +14,7 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
     : rt_(rt),
       id_(id),
       num_nodes_(rt.config().num_nodes),
-      pages_(rt.config().num_pages()),
+      pages_(rt.config().num_pages(), &diff_cache_total_bytes_),
       log_(num_nodes_),
       sent_node_vt_(num_nodes_, VectorTime(num_nodes_, 0)),
       sent_mgr_vt_(num_nodes_, VectorTime(num_nodes_, 0)),
@@ -23,9 +23,7 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
       gc_floor_validated_(num_nodes_, 0),
       mgr_(num_nodes_),
       tree_sent_up_vt_(num_nodes_, 0),
-      stress_rng_(rt.config().stress_seed + id) {
-  for (PageEntry& e : pages_) e.diff_cache.bind_total(&diff_cache_total_bytes_);
-}
+      stress_rng_(rt.config().stress_seed + id) {}
 
 Node::~Node() = default;
 
@@ -182,12 +180,13 @@ Node::MetaFootprint Node::meta_footprint() {
     for (const auto& [key, chunks] : diff_store_)
       for (const DiffBytes& d : chunks) f.diff_store_bytes += d.size();
   }
-  for (PageEntry& e : pages_) {
+  // Absent chunks hold no cached diffs.
+  pages_.for_each([&](PageIndex, PageEntry& e) {
     std::lock_guard<std::mutex> lock(e.mu);
     f.diff_cache_bytes += e.diff_cache.bytes();
     f.diff_cache_pinned_bytes += e.diff_cache.pinned_bytes();
     f.relay_bytes += e.diff_cache.relay_bytes();
-  }
+  });
   return f;
 }
 

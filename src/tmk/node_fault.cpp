@@ -190,7 +190,11 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       const PageIndex last = static_cast<PageIndex>(
           std::min<std::size_t>(page + window, num_pages - 1));
       for (PageIndex q = page + 1; q <= last; ++q) {
-        PageEntry& qe = pages_[q];
+        // A neighbor whose chunk is absent was never touched here: no
+        // notices, nothing to prefetch, and no reason to allocate it.
+        PageEntry* qp = pages_.find(q);
+        if (qp == nullptr) continue;
+        PageEntry& qe = *qp;
         std::lock_guard<std::mutex> qlock(qe.mu);
         if (qe.state != PageState::kInvalid || qe.unapplied.empty()) continue;
         PrefetchPage pp;

@@ -149,11 +149,13 @@ void Node::on_diff_request(sim::Message&& m) {
   // Materialize lazily if an interval's twin is still pending.  The page is
   // at most PROT_READ for a closed interval, so its bytes are stable.  (Done
   // before taking store_mu_: materialize_twin takes e.mu then store_mu_.)
+  // An absent page holds no twin.
   for (const auto& [page, seqs] : pages) {
+    PageEntry* e = pages_.find(page);
+    if (e == nullptr) continue;
     for (std::uint32_t seq : seqs) {
-      PageEntry& e = pages_[page];
-      std::lock_guard<std::mutex> lock(e.mu);
-      if (e.twin_valid && e.twin.seq == seq) materialize_twin(page, e);
+      std::lock_guard<std::mutex> lock(e->mu);
+      if (e->twin_valid && e->twin.seq == seq) materialize_twin(page, *e);
     }
   }
 

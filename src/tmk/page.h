@@ -1,14 +1,15 @@
 // Per-node page table entries for the DSM protocol.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "tmk/config.h"
 #include "tmk/diff.h"
 #include "tmk/intervals.h"
@@ -77,7 +78,8 @@ class PageDiffCache {
   // Mirrors every bytes_ change into a node-wide counter (a relaxed atomic
   // owned by the Node), so the on-demand GC's ceiling check can read the
   // cluster of per-page caches in O(1) instead of walking the page table on
-  // every sync operation.  Bound once at Node construction.
+  // every sync operation.  Bound once, when the page table allocates the
+  // entry's chunk.
   void bind_total(std::atomic<std::size_t>* total) { total_ = total; }
 
   struct Entry {
@@ -85,6 +87,7 @@ class PageDiffCache {
     bool pinned = false;      // exempt from FIFO eviction (barrier-GC)
     bool prefetched = false;  // arrived via multi-page prefetch (stats only)
     bool relayed = false;     // retained for the migratory lock relay
+    std::uint32_t slot = 0;   // its FIFO position (unpinned entries only)
   };
 
   // Entry for (writer, seq), or nullptr if not cached.  The pointer stays
@@ -111,11 +114,12 @@ class PageDiffCache {
     std::size_t sz = 0;
     for (const DiffBytes& c : chunks) sz += c.size();
     if (sz > budget_bytes) return false;
-    while (bytes_ + sz > budget_bytes && !order_.empty()) {
-      auto victim = map_.find(order_.front());
-      order_.pop_front();
-      // A key may be stale (erased, or promoted to pinned since): skip it.
-      if (victim == map_.end() || victim->second.pinned) continue;
+    while (bytes_ + sz > budget_bytes && head_ < order_.size()) {
+      const std::size_t slot = head_++;
+      auto victim = map_.find(order_[slot]);
+      // A key may be stale (erased, promoted to pinned, or re-inserted at a
+      // later slot since): skip it.
+      if (victim == map_.end() || !owns_slot(victim->second, slot)) continue;
       std::size_t vsz = 0;
       for (const DiffBytes& c : victim->second.chunks) vsz += c.size();
       sub_bytes(vsz);
@@ -127,8 +131,9 @@ class PageDiffCache {
     // land on top of that, or the cache would grow to pins + budget.
     if (bytes_ + sz > budget_bytes) return false;
     add_bytes(sz);
-    order_.push_back(k);
-    map_.emplace(k, Entry{std::move(chunks), /*pinned=*/false, prefetched});
+    const std::uint32_t slot = push_order(k);
+    map_.emplace(k, Entry{std::move(chunks), /*pinned=*/false, prefetched,
+                          /*relayed=*/false, slot});
     return true;
   }
 
@@ -164,10 +169,10 @@ class PageDiffCache {
     return true;
   }
 
-  // Drops the entry for (writer, seq) if present (a stale key may linger in
-  // the FIFO order; the eviction loop tolerates that).  Used to release an
-  // entry once its chunks have been applied — an applied interval is never
-  // wanted again.
+  // Drops the entry for (writer, seq) if present (its FIFO key goes stale;
+  // the eviction loop skips it and the next compaction drops it).  Used to
+  // release an entry once its chunks have been applied — an applied interval
+  // is never wanted again.
   void erase(std::uint32_t writer, std::uint32_t seq) {
     auto it = map_.find(key(writer, seq));
     if (it == map_.end()) return;
@@ -219,6 +224,8 @@ class PageDiffCache {
   std::size_t pinned_bytes() const { return pinned_bytes_; }
   std::size_t relay_bytes() const { return relay_bytes_; }
   std::size_t entries() const { return map_.size(); }
+  // Keys held by the FIFO, stale and already-evicted ones included.
+  std::size_t fifo_keys() const { return order_.size(); }
 
  private:
   static std::uint64_t key(std::uint32_t writer, std::uint32_t seq) {
@@ -232,8 +239,39 @@ class PageDiffCache {
     bytes_ -= n;
     if (total_ != nullptr) total_->fetch_sub(n, std::memory_order_relaxed);
   }
+  // Whether FIFO slot `i` is the live position of entry `e`.
+  static bool owns_slot(const Entry& e, std::size_t i) {
+    return !e.pinned && e.slot == i;
+  }
+  // Appends a key to the FIFO and returns its slot.  Erase, prune and pin
+  // leave their keys behind (only an over-budget insert pops), so a cache
+  // that never overflows would grow its FIFO on every insert forever: once
+  // the dead keys (evicted, stale) outnumber the live entries, drop them,
+  // keeping the survivors in insertion order.  Amortized O(1): a compaction
+  // leaves one key per unpinned entry, and the next one needs entries() +
+  // kOrderSlack more inserts.
+  std::uint32_t push_order(std::uint64_t k) {
+    if (order_.size() >= 2 * map_.size() + kOrderSlack) {
+      std::size_t live = 0;
+      for (std::size_t i = head_; i < order_.size(); ++i) {
+        auto it = map_.find(order_[i]);
+        if (it == map_.end() || !owns_slot(it->second, i)) continue;
+        it->second.slot = static_cast<std::uint32_t>(live);
+        order_[live++] = order_[i];
+      }
+      order_.resize(live);
+      head_ = 0;
+    }
+    order_.push_back(k);
+    return static_cast<std::uint32_t>(order_.size() - 1);
+  }
+  static constexpr std::size_t kOrderSlack = 8;
   std::unordered_map<std::uint64_t, Entry> map_;
-  std::deque<std::uint64_t> order_;  // insertion order, for FIFO eviction
+  // Insertion order for FIFO eviction; keys before head_ were popped.  A
+  // vector, not a deque: an empty cache — nearly every page — allocates
+  // nothing.
+  std::vector<std::uint64_t> order_;
+  std::size_t head_ = 0;
   std::size_t bytes_ = 0;
   std::size_t pinned_bytes_ = 0;  // subset of bytes_ held by pinned entries
   std::size_t relay_bytes_ = 0;   // subset of bytes_ retained for the relay
@@ -276,6 +314,93 @@ struct PageEntry {
   // probes (every Nth applied push, N per keying — the ones in between
   // validate outright).
   std::uint32_t pushes_since_probe = 0;
+};
+
+// Pages per page-table chunk.  A compile-time constant so a page's chunk and
+// slot are a shift and a mask and the chunk directory is sized once, at
+// construction.  64 pages (256 KB of heap, ~14 KB of entries) keeps the
+// prefetch window's neighbor scan inside one or two chunks, while an
+// application touching a few MB of a 96 MB heap allocates a few dozen chunks
+// instead of 24,576 entries.
+constexpr std::size_t kPageChunkPages = 64;
+
+// A node's page table, populated lazily: a fixed directory of chunk
+// pointers, each chunk allocated the first time any thread indexes one of
+// its pages.  A page whose chunk is absent has never been touched on this
+// node — it is the initial zero page with no notices, twin or cached diffs —
+// so read-only walkers use find() / for_each() and skip it without
+// allocating.  Both the compute thread (faults) and the service thread
+// (merges at flush/fork/join) can reach a fresh chunk: growth serializes on
+// one mutex and publishes the chunk with release, lookups load with acquire.
+class PageTable {
+ public:
+  // `cache_total` is the node-wide mirror every entry's diff cache is bound
+  // to (PageDiffCache::bind_total).
+  PageTable(std::size_t num_pages, std::atomic<std::size_t>* cache_total)
+      : num_pages_(num_pages),
+        num_chunks_((num_pages + kPageChunkPages - 1) / kPageChunkPages),
+        dir_(new std::atomic<Chunk*>[num_chunks_]),
+        cache_total_(cache_total) {
+    for (std::size_t c = 0; c < num_chunks_; ++c)
+      dir_[c].store(nullptr, std::memory_order_relaxed);
+  }
+  ~PageTable() {
+    for (std::size_t c = 0; c < num_chunks_; ++c)
+      delete dir_[c].load(std::memory_order_relaxed);
+  }
+  PageTable(const PageTable&) = delete;
+  PageTable& operator=(const PageTable&) = delete;
+
+  // The entry for `page`, allocating its chunk on first touch.
+  PageEntry& operator[](PageIndex page) {
+    NOW_CHECK_LT(page, num_pages_) << "page outside the shared heap";
+    const std::size_t c = page / kPageChunkPages;
+    Chunk* chunk = dir_[c].load(std::memory_order_acquire);
+    if (chunk == nullptr) chunk = grow(c);
+    return chunk->entries[page % kPageChunkPages];
+  }
+  // The entry for `page`, or nullptr if its chunk was never allocated.
+  PageEntry* find(PageIndex page) {
+    Chunk* chunk = dir_[page / kPageChunkPages].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr : &chunk->entries[page % kPageChunkPages];
+  }
+  // Calls fn(page, entry) for every page of every allocated chunk, in page
+  // order.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (std::size_t c = 0; c < num_chunks_; ++c) {
+      Chunk* chunk = dir_[c].load(std::memory_order_acquire);
+      if (chunk == nullptr) continue;
+      const std::size_t first = c * kPageChunkPages;
+      const std::size_t n = std::min(kPageChunkPages, num_pages_ - first);
+      for (std::size_t i = 0; i < n; ++i)
+        fn(static_cast<PageIndex>(first + i), chunk->entries[i]);
+    }
+  }
+  // Chunks allocated so far (never freed before the table is).
+  std::size_t chunks() const { return chunks_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Chunk {
+    PageEntry entries[kPageChunkPages];
+  };
+  Chunk* grow(std::size_t c) {
+    std::lock_guard<std::mutex> lock(grow_mu_);
+    Chunk* chunk = dir_[c].load(std::memory_order_relaxed);  // grow_mu_ orders it
+    if (chunk != nullptr) return chunk;  // another thread won the race
+    chunk = new Chunk;
+    for (PageEntry& e : chunk->entries) e.diff_cache.bind_total(cache_total_);
+    dir_[c].store(chunk, std::memory_order_release);
+    chunks_.fetch_add(1, std::memory_order_relaxed);
+    return chunk;
+  }
+
+  const std::size_t num_pages_;
+  const std::size_t num_chunks_;
+  std::unique_ptr<std::atomic<Chunk*>[]> dir_;
+  std::atomic<std::size_t>* const cache_total_;
+  std::mutex grow_mu_;
+  std::atomic<std::size_t> chunks_{0};
 };
 
 }  // namespace now::tmk

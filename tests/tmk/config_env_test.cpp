@@ -204,10 +204,14 @@ TEST(ConfigEnv, CrashKnobGatingAndExplicitAssignment) {
 // The channel the config implies: the retry budget must reach the wire
 // layer, and crash injection must force the reliability protocol plus
 // keepalive probes on — while a ckpt-only (or knobs-off) run keeps the
-// bypassed perfect wire that makes its message counts exact.
+// bypassed perfect wire that makes its message counts exact.  The blocks
+// expecting that bypass pin a perfect wire, since a fault knob set in the
+// environment (TMK_NET_*_PPM) forces the channel on.
 TEST(ConfigEnv, CrashKnobsPlumbIntoChannelConfig) {
   {
     DsmConfig c;
+    c.net_fault = {};
+    c.net_reliable = false;
     c.net_max_retries = 7;
     EXPECT_EQ(c.channel().max_retries, 7u);
     EXPECT_FALSE(c.channel().reliable);
@@ -224,6 +228,8 @@ TEST(ConfigEnv, CrashKnobsPlumbIntoChannelConfig) {
   }
   {
     DsmConfig c;
+    c.net_fault = {};
+    c.net_reliable = false;
     c.ckpt_every = 4;
     EXPECT_FALSE(c.channel().reliable);
     EXPECT_EQ(c.channel().probe_idle_host_us, 0u);

@@ -7,6 +7,8 @@
 // (With GC enabled the cache is load-bearing; tmk_gc_test covers that.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tmk/tmk.h"
 
 namespace now::tmk {
@@ -106,8 +108,45 @@ TEST(PageDiffCache, EraseReleasesEntry) {
   EXPECT_EQ(c.find(1, 1), nullptr);
   EXPECT_EQ(c.bytes(), 10u);
   EXPECT_EQ(c.entries(), 1u);
-  c.erase(2, 1);  // FIFO entry: stale key may linger in order, bytes must not
+  c.erase(2, 1);  // FIFO entry: its key goes stale, its bytes must not linger
   EXPECT_EQ(c.bytes(), 0u);
+}
+
+// Erase, prune and pin leave their keys in the FIFO; only an over-budget
+// insert pops.  A page that never overflows its budget (prefetch or relay
+// inserts later applied and erased) must not grow the FIFO forever, and
+// compacting the stale keys must not reorder the live ones.
+TEST(PageDiffCache, FifoStaysBoundedUnderInsertEraseChurn) {
+  PageDiffCache c;
+  for (std::uint32_t s = 1; s <= 4; ++s) c.insert(1, s, {chunk(10, 1)}, 100);
+  c.insert(5, 1, {chunk(10, 5)}, 100);
+  c.pin_existing(5, 1);  // its key goes stale too
+  std::size_t most_keys = 0;
+  for (std::uint32_t i = 1; i <= 10000; ++i) {
+    ASSERT_TRUE(c.insert(2, i, {chunk(10, 2)}, 100));
+    c.erase(2, i);
+    most_keys = std::max(most_keys, c.fifo_keys());
+  }
+  EXPECT_EQ(c.entries(), 5u);
+  EXPECT_EQ(c.bytes(), 50u);
+  EXPECT_LE(most_keys, 4 * c.entries());
+
+  // Eviction is still oldest-first over the surviving inserts, with the pin
+  // exempt, and a re-inserted key queues at the back: (1,2), (1,3), (1,4),
+  // then (1,1).
+  c.erase(1, 1);
+  c.insert(1, 1, {chunk(10, 1)}, 100);
+  c.insert(3, 1, {chunk(50, 3)}, 100);  // 100 bytes: fits exactly
+  EXPECT_EQ(c.entries(), 6u);
+  c.insert(3, 2, {chunk(10, 3)}, 100);  // evicts (1,2)
+  EXPECT_EQ(c.find(1, 2), nullptr);
+  ASSERT_NE(c.find(1, 1), nullptr);
+  c.insert(3, 3, {chunk(20, 3)}, 100);  // evicts (1,3), then (1,4)
+  EXPECT_EQ(c.find(1, 3), nullptr);
+  EXPECT_EQ(c.find(1, 4), nullptr);
+  ASSERT_NE(c.find(1, 1), nullptr);
+  ASSERT_NE(c.find(5, 1), nullptr);  // pinned: never a victim
+  EXPECT_EQ(c.bytes(), 100u);
 }
 
 // ---------------------------------------------------------------------------
