@@ -37,9 +37,19 @@ int main(int argc, char** argv) {
   const bool ceiling_on = dsm.on_demand_gc_enabled();
   std::vector<std::string> extra_head{"Application", "GcRec OpenMP", "GcRec Tmk",
                                       "GcKB OpenMP", "GcKB Tmk"};
+  // Routed fetches and relay stock ride the cache too: a fault inside a
+  // critical section asks only the page's latest writer, which answers the
+  // other writers' intervals from its relay stock (StockHit) or marks them
+  // missing (StockMiss, fetched from their writers in a second round); GC
+  // floors prune the stock they cover.
   if (cache_on) {
     extra_head.push_back("DCacheHit Tmk");
     extra_head.push_back("KB saved Tmk");
+    extra_head.push_back("Routed Tmk");
+    extra_head.push_back("StockHit Tmk");
+    extra_head.push_back("StockMiss Tmk");
+    extra_head.push_back("RelayPrune Tmk");
+    extra_head.push_back("RelayKB Tmk");
   }
   if (prefetch_on) {
     extra_head.push_back("PfBatched Tmk");
@@ -57,14 +67,7 @@ int main(int argc, char** argv) {
     extra_head.push_back("LkHit Tmk");
     extra_head.push_back("LkDemote Tmk");
   }
-  // Ceiling-triggered exchanges and relay pruning move when either the
-  // on-demand GC or the migratory push is on (the exchange floor is what
-  // prunes retained relay chunks).
-  if (ceiling_on || lock_push_on) {
-    extra_head.push_back("GcXchg Tmk");
-    extra_head.push_back("RelayPrune Tmk");
-    extra_head.push_back("RelayKB Tmk");
-  }
+  if (ceiling_on) extra_head.push_back("GcXchg Tmk");
   // Lossy-wire channel columns, only when the wire can actually lose or the
   // protocol is armed (TMK_NET_* knobs): retransmitted copies, discarded
   // duplicates, out-of-order holds, and what acking the traffic cost.  With
@@ -108,6 +111,12 @@ int main(int argc, char** argv) {
       row.push_back(Table::fmt(r.tmk.dsm.diff_cache_hits));
       row.push_back(
           Table::fmt(static_cast<double>(r.tmk.dsm.diff_cache_bytes_saved) / 1024.0, 1));
+      row.push_back(Table::fmt(r.tmk.dsm.diff_fetches_routed));
+      row.push_back(Table::fmt(r.tmk.dsm.diff_stock_served));
+      row.push_back(Table::fmt(r.tmk.dsm.diff_stock_misses));
+      row.push_back(Table::fmt(r.tmk.dsm.relay_chunks_pruned));
+      row.push_back(Table::fmt(
+          static_cast<double>(r.tmk.dsm.relay_bytes_pruned) / 1024.0, 1));
     }
     if (prefetch_on) {
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_requests_batched));
@@ -125,12 +134,7 @@ int main(int argc, char** argv) {
       row.push_back(Table::fmt(r.tmk.dsm.lock_push_hits));
       row.push_back(Table::fmt(r.tmk.dsm.lock_push_demotions));
     }
-    if (ceiling_on || lock_push_on) {
-      row.push_back(Table::fmt(r.tmk.dsm.gc_exchanges));
-      row.push_back(Table::fmt(r.tmk.dsm.relay_chunks_pruned));
-      row.push_back(Table::fmt(
-          static_cast<double>(r.tmk.dsm.relay_bytes_pruned) / 1024.0, 1));
-    }
+    if (ceiling_on) row.push_back(Table::fmt(r.tmk.dsm.gc_exchanges));
     if (chan_on) {
       row.push_back(Table::fmt(r.tmk.traffic.chan.retransmits));
       row.push_back(Table::fmt(r.tmk.traffic.chan.dup_drops));

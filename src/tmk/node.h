@@ -191,11 +191,13 @@ class Node {
   // Destroys own diff-store entries with seq <= ack_seq (compute thread;
   // raises gc_reclaimed_seq_ only — gc_drop_seq_ stays barrier-owned).
   void gc_reclaim_store_to(std::uint32_t ack_seq);
-  // Relay pruning: remembers that `page` holds relay-retained chunks, and
-  // drops retained droppable chunks covered by this node's applied floor —
-  // validation resolved those notices and every future grant delta is cut
-  // above the floor, so they can never be served nor relayed again.
-  void relay_note(PageIndex page);
+  // Relay stock: relay_keep marks an entry of `page`'s diff cache (caller
+  // holds e.mu) as stock and indexes it; relay_prune drops the stock the
+  // floor covers — validation resolved those notices and every future grant
+  // delta is cut above the floor, so no fault or routed request can want
+  // them again — in time proportional to what it drops.
+  void relay_keep(PageIndex page, PageEntry& e, std::uint32_t writer,
+                  std::uint32_t seq);
   void relay_prune(const VectorTime& floor);
   // Service-thread handlers for the exchange messages.
   void on_gc_request(sim::Message&& m);
@@ -280,11 +282,12 @@ class Node {
   // compute thread currently holds (compute thread only; builds the per-CS
   // touch sets the release folds).
   void lock_push_note_touch(PageIndex page);
-  // Critical-section bracket (no-ops while lock push is off).  Begin starts
-  // the touch attribution for the lock.  End folds the section's touch set
-  // into the lock's protected set — touched pages (re)gain membership,
-  // member pages untouched for lock_push_probe consecutive own CSes decay
-  // out — and judges the pushes this acquire landed.
+  // Critical-section bracket: maintains held_locks_ (which routes faults and
+  // keeps relay stock whatever the config).  With lock push on, begin also
+  // starts the touch attribution for the lock, and end folds the section's
+  // touch set into the lock's protected set — touched pages (re)gain
+  // membership, member pages untouched for lock_push_probe consecutive own
+  // CSes decay out — and judges the pushes this acquire landed.
   void lock_push_begin_cs(std::uint32_t lock_id);
   void lock_push_end_cs(std::uint32_t lock_id);
   // Granter side: appends the push section to a kLockGrant payload — diffs
@@ -336,19 +339,33 @@ class Node {
   // Batched diff fetch, shared by the fault path (and its prefetch window)
   // and the GC validation pass (the kDiffRequest wire layout lives in
   // exactly one requester).  Wants are grouped into one pipelined multi-page
-  // request per writer; the returned chunk views point into the reply
-  // payloads appended to `replies`, which the caller keeps alive for as long
-  // as the views are used.  Counts the round trips in diff_fetches.
+  // request per writer; the returned chunk views, keyed (page, author, seq),
+  // point into the reply payloads appended to `replies`, which the caller
+  // keeps alive for as long as the views are used.  Counts the round trips
+  // in diff_fetches.
+  //
+  // A want with `authors` (parallel to `seqs`) is *routed*: it asks
+  // `writer` for other writers' intervals too, which the writer answers
+  // from its relay stock for the page.  A request carrying any routed want
+  // uses the routed layout (every entry names its author); entries the
+  // writer no longer holds come back marked missing and are appended to
+  // *misses (required then), for the caller to fetch from their authors.
   using DiffChunkView = std::pair<const std::uint8_t*, std::size_t>;
   using DiffKey = std::tuple<PageIndex, std::uint32_t, std::uint32_t>;
   struct DiffWant {
     PageIndex page = 0;
     std::uint32_t writer = 0;
     std::vector<std::uint32_t> seqs;
+    std::vector<std::uint32_t> authors;  // empty: every seq is writer's own
   };
+  // kDiffRequest flag bits, and the routed reply's marker (in the chunk
+  // count's place) for an interval the writer no longer holds.
+  static constexpr std::uint8_t kDiffReqForGc = 1;
+  static constexpr std::uint8_t kDiffReqRouted = 2;
+  static constexpr std::uint32_t kDiffStockMiss = 0xffffffffu;
   std::map<DiffKey, std::vector<DiffChunkView>> fetch_diffs(
       const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
-      bool for_gc = false);
+      bool for_gc = false, std::vector<DiffKey>* misses = nullptr);
 
   enum class Cache { kNodeLog, kMgrLog };
   // Delta of interval records the peer's node/manager log is missing,
@@ -573,9 +590,14 @@ class Node {
   // PageDiffCache::bind_total as the page table allocates each chunk).
   std::atomic<std::size_t> diff_store_bytes_{0};
   std::atomic<std::size_t> diff_cache_total_bytes_{0};
-  // Pages holding relay-retained chunks (compute thread only; deduplicated
-  // by relay_prune), so pruning is O(pages with retained chunks).
-  std::vector<PageIndex> relay_pages_;
+  // Relay stock index (compute thread only): per writer, a min-heap of
+  // (seq, page) over the entries relay_keep marked, so relay_prune pops
+  // exactly what a floor covers instead of walking every page's cache.
+  // Entries evicted or applied-and-erased since leave stale keys behind;
+  // relay_keep compacts them away once they outnumber the live ones.
+  std::vector<std::vector<std::pair<std::uint32_t, PageIndex>>> relay_index_;
+  std::size_t relay_index_keys_ = 0;     // keys across all writers' heaps
+  std::size_t relay_index_compact_ = 0;  // compaction threshold
 
   // ---- lock keying: per-lock protected page sets ----
   // Writer-side admission per (lock, page), guarded by lock_protect_mu_:
@@ -589,9 +611,11 @@ class Node {
   std::mutex lock_protect_mu_;
   std::unordered_map<std::uint32_t, std::unordered_map<PageIndex, LockPushStat>>
       lock_protect_;
-  // Critical-section touch attribution (compute thread only): the locks the
-  // compute thread currently holds, and per held lock the pages it faulted
-  // or wrote since acquiring it.  Folded into lock_protect_ at release.
+  // Critical sections (compute thread only): the locks the compute thread
+  // currently holds — a fault taken while any is held is routed and keeps
+  // its chunks as relay stock — and, with lock push on, per held lock the
+  // pages it faulted or wrote since acquiring it (folded into lock_protect_
+  // at release).
   std::vector<std::uint32_t> held_locks_;
   std::unordered_map<std::uint32_t, std::vector<PageIndex>> cs_touched_;
 

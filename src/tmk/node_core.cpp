@@ -21,6 +21,7 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
       delta_send_mu_(new std::mutex[num_nodes_]),
       gc_floor_applied_(num_nodes_, 0),
       gc_floor_validated_(num_nodes_, 0),
+      relay_index_(num_nodes_),
       mgr_(num_nodes_),
       tree_sent_up_vt_(num_nodes_, 0),
       stress_rng_(rt.config().stress_seed + id) {}
@@ -203,7 +204,7 @@ std::size_t Node::meta_bytes() {
 
 std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
     const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
-    bool for_gc) {
+    bool for_gc, std::vector<DiffKey>* misses) {
   // One kDiffRequest per *writer*, carrying every page wanted from it:
   // a fault and its prefetch window share one round trip, and the GC
   // validation pass batches a whole barrier's worth of pages per writer.
@@ -227,22 +228,28 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
   struct Call {
     std::uint64_t tok = 0;
     std::uint32_t writer = 0;
-    std::vector<PageIndex> pages;  // request order; the reply must echo it
+    std::vector<const DiffWant*> wants;  // request order; the reply echoes it
   };
   std::vector<Call> calls;
   calls.reserve(by_writer.size());
-  for (const auto& [writer, writer_wants] : by_writer) {
+  std::uint64_t routed_calls = 0;
+  for (auto& [writer, writer_wants] : by_writer) {
+    // Routed layout only when some entry is another writer's: a direct
+    // request keeps the seq-only entries, byte for byte.
+    const bool routed = std::any_of(
+        writer_wants.begin(), writer_wants.end(),
+        [](const DiffWant* want) { return !want->authors.empty(); });
     ByteWriter w;
     w.u32(epoch_tag);
-    w.u8(for_gc ? 1 : 0);
+    w.u8((for_gc ? kDiffReqForGc : 0) | (routed ? kDiffReqRouted : 0));
     w.u32(static_cast<std::uint32_t>(writer_wants.size()));
-    std::vector<PageIndex> pages;
-    pages.reserve(writer_wants.size());
     for (const DiffWant* want : writer_wants) {
       w.u32(want->page);
       w.u32(static_cast<std::uint32_t>(want->seqs.size()));
-      for (std::uint32_t s : want->seqs) w.u32(s);
-      pages.push_back(want->page);
+      for (std::size_t i = 0; i < want->seqs.size(); ++i) {
+        if (routed) w.u32(want->authors.empty() ? writer : want->authors[i]);
+        w.u32(want->seqs[i]);
+      }
     }
     const std::uint64_t tok = rpc_.begin();
     sim::Message m;
@@ -251,14 +258,20 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
     m.seq = tok;
     m.payload = w.take();
     send_compute(std::move(m));
-    calls.push_back({tok, writer, std::move(pages)});
+    calls.push_back({tok, writer, std::move(writer_wants)});
+    routed_calls += routed ? 1 : 0;
   }
   stats_.diff_fetches.fetch_add(calls.size(), std::memory_order_relaxed);
+  if (routed_calls > 0) {
+    NOW_CHECK(misses != nullptr) << "routed diff fetch without a miss list";
+    stats_.diff_fetches_routed.fetch_add(routed_calls, std::memory_order_relaxed);
+  }
 
   // The chunk views point into the reply payloads (zero-copy: the only copy
   // left to the caller is whatever it does with the chunks).  The payload
   // heap buffers are stable even if `replies` reallocates.
   std::map<DiffKey, std::vector<DiffChunkView>> got;
+  std::uint64_t served = 0, missed = 0;
   replies.reserve(replies.size() + calls.size());
   for (const Call& c : calls) {
     replies.push_back(rpc_.wait(c.tok));
@@ -266,21 +279,34 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
     arrive(reply);
     ByteReader r(reply.payload);
     const std::uint32_t npages = r.u32();
-    NOW_CHECK_EQ(npages, c.pages.size());
-    for (std::uint32_t p = 0; p < npages; ++p) {
+    NOW_CHECK_EQ(npages, c.wants.size());
+    for (const DiffWant* want : c.wants) {
       const PageIndex rpage = r.u32();
       // The reply echoes the requested pages in order; a mislabeled page
       // would silently file chunks under the wrong cache, so fail fast.
-      NOW_CHECK_EQ(rpage, c.pages[p]);
+      NOW_CHECK_EQ(rpage, want->page);
       const std::uint32_t n = r.u32();
+      NOW_CHECK_EQ(n, want->seqs.size());
       for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t author =
+            want->authors.empty() ? c.writer : want->authors[i];
         const std::uint32_t seq = r.u32();
         const std::uint32_t nchunks = r.u32();
-        auto& chunks = got[{rpage, c.writer, seq}];
+        if (nchunks == kDiffStockMiss) {
+          misses->emplace_back(rpage, author, seq);
+          ++missed;
+          continue;
+        }
+        if (author != c.writer) ++served;
+        auto& chunks = got[{rpage, author, seq}];
         for (std::uint32_t k = 0; k < nchunks; ++k) chunks.push_back(r.bytes_view());
       }
     }
   }
+  if (served > 0)
+    stats_.diff_stock_served.fetch_add(served, std::memory_order_relaxed);
+  if (missed > 0)
+    stats_.diff_stock_misses.fetch_add(missed, std::memory_order_relaxed);
   return got;
 }
 

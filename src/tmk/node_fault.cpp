@@ -167,9 +167,32 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     std::map<std::uint32_t, std::vector<std::uint32_t>> by_writer;
     for (const auto& n : to_fetch) by_writer[n.writer].push_back(n.seq);
     std::vector<DiffWant> wants;
-    wants.reserve(by_writer.size());
-    for (auto& [writer, seqs] : by_writer)
-      wants.push_back({page, writer, std::move(seqs)});
+    // Routed fetch (TreadMarks' dominated-writer rule): inside a critical
+    // section the page is usually migrating along the lock chain, and the
+    // writer of the latest wanted interval applied — and kept as relay
+    // stock — every earlier one before writing.  Ask only it, naming every
+    // wanted interval; whatever it no longer holds comes back missing and is
+    // fetched from its writer below.  Without a diff cache there is no
+    // stock anywhere, so routing stays off.
+    const bool in_cs = !held_locks_.empty() && cache_budget > 0;
+    const bool routed = in_cs && by_writer.size() > 1;
+    if (routed) {
+      const UnappliedNotice& latest =
+          *std::max_element(to_fetch.begin(), to_fetch.end(), applies_before);
+      DiffWant dw{page, latest.writer, {}, {}};
+      dw.seqs.reserve(to_fetch.size());
+      dw.authors.reserve(to_fetch.size());
+      for (const auto& n : to_fetch) {
+        dw.seqs.push_back(n.seq);
+        dw.authors.push_back(n.writer);
+      }
+      wants.push_back(std::move(dw));
+      by_writer = {{latest.writer, {}}};  // the one writer contacted
+    } else {
+      wants.reserve(by_writer.size());
+      for (auto& [writer, seqs] : by_writer)
+        wants.push_back({page, writer, std::move(seqs), {}});
+    }
 
     // Multi-page prefetch: fold neighboring invalid pages' wanted seqs into
     // the writer requests this fault already pays for.  Only writers already
@@ -208,7 +231,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         }
         if (pp.entries.empty()) continue;
         for (auto& [writer, seqs] : q_by_writer)
-          wants.push_back({q, writer, std::move(seqs)});
+          wants.push_back({q, writer, std::move(seqs), {}});
         prefetch.push_back(std::move(pp));
       }
       if (!prefetch.empty())
@@ -217,7 +240,24 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     }
 
     std::vector<sim::Message> replies;
-    auto got = fetch_diffs(wants, replies);
+    std::vector<DiffKey> misses;
+    auto got = fetch_diffs(wants, replies, /*for_gc=*/false, &misses);
+    if (!misses.empty()) {
+      // Second round: the routed writer's stock no longer held these (FIFO
+      // eviction, a floor's prune, or a concurrent writer it never applied).
+      // Every author still holds its own diff, so correctness never rests
+      // on the stock.  Only the faulting page is routed, so only its
+      // intervals can miss.
+      std::map<std::uint32_t, std::vector<std::uint32_t>> miss_by_writer;
+      for (const auto& [mpage, writer, seq] : misses) {
+        NOW_CHECK_EQ(mpage, page);
+        miss_by_writer[writer].push_back(seq);
+      }
+      std::vector<DiffWant> retry;
+      for (auto& [writer, seqs] : miss_by_writer)
+        retry.push_back({page, writer, std::move(seqs), {}});
+      got.merge(fetch_diffs(retry, replies));
+    }
 
     // Park the prefetched chunks in their pages' caches for the neighbor's
     // own fault.  Budgeted FIFO insert: droppable (the writer still holds
@@ -247,13 +287,12 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
 
     std::stable_sort(want.begin(), want.end(), applies_before);
 
-    // Migratory relay retention: a fault on a page touched inside a held
-    // critical section keeps its diff chunks cached after applying them, so
-    // this node's later kLockGrant can push the chain's accumulated diffs
-    // onward (sparse chunks instead of whole-page images).  Deferred past
-    // the apply loop: an insert can FIFO-evict an entry a later iteration
-    // still wants.
-    const bool retain = rt_.config().lock_push_enabled() && !held_locks_.empty();
+    // Relay stock: inside a critical section every applied chunk stays
+    // cached, so the next holder's routed fault can ask this node for the
+    // page's whole history, and this node's own grant can push it onward
+    // (sparse chunks instead of whole-page images).  Fetched chunks are
+    // inserted after the apply loop: an insert can FIFO-evict an entry a
+    // later iteration still wants.
     std::vector<std::pair<const UnappliedNotice*, std::vector<DiffBytes>>> keep;
 
     std::lock_guard<std::mutex> lock(e.mu);
@@ -269,13 +308,13 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         // push racing this fetch waits in the pending queue until the
         // barrier's landing pass), so there is no stale entry to release.
         std::vector<DiffBytes> owned;
-        if (retain) owned.reserve(it->second.size());
+        if (in_cs) owned.reserve(it->second.size());
         for (const DiffChunkView& d : it->second) {
           patched += diff_apply(mem, kPageSize, d.first, d.second);
           ++applied;
-          if (retain) owned.emplace_back(d.first, d.first + d.second);
+          if (in_cs) owned.emplace_back(d.first, d.first + d.second);
         }
-        if (retain) keep.emplace_back(&n, std::move(owned));
+        if (in_cs) keep.emplace_back(&n, std::move(owned));
         continue;
       }
       const auto* cached = e.diff_cache.lookup(n.writer, n.seq);
@@ -286,38 +325,27 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         patched += diff_apply(mem, kPageSize, d);
         ++applied;
       }
-      // An applied interval is never wanted again; release the entry (this
-      // is what unpins barrier-GC prefetches once they have served their
-      // fault).  Under the migratory relay, droppable entries are retained
-      // instead — the chain wants them — but pinned ones still release:
-      // their writers reclaimed the diffs against a floor every peer has
-      // applied, so no grant delta can ever name them again, and a stale
-      // pin would leak pinned bytes forever.
-      if (!retain || cached->pinned) {
-        e.diff_cache.erase(n.writer, n.seq);
+      // Outside a critical section the page is not migrating along a lock
+      // chain, so the entry is released (this is what unpins barrier-GC
+      // prefetches once they have served their fault; a routed request
+      // that still wants the interval takes the miss path).  Inside one it
+      // becomes relay stock — except a pin: its writer reclaimed the diff
+      // against a floor every peer has applied, so no routed request or
+      // grant delta can ever name it again, and a stale pin would leak
+      // pinned bytes forever.
+      if (in_cs && !cached->pinned) {
+        relay_keep(page, e, n.writer, n.seq);
       } else {
-        // Retained for the relay: mark it so the prune pass can find (and
-        // eventually drop) it once a grant or exchange floor covers it.
-        e.diff_cache.mark_relay(n.writer, n.seq);
+        e.diff_cache.erase(n.writer, n.seq);
       }
     }
-    bool kept_any = false;
     for (auto& [n, owned] : keep) {
-      if (e.diff_cache.insert(n->writer, n->seq, std::move(owned), cache_budget)) {
-        e.diff_cache.mark_relay(n->writer, n->seq);
-        kept_any = true;
-      }
+      if (e.diff_cache.insert(n->writer, n->seq, std::move(owned), cache_budget))
+        relay_keep(page, e, n->writer, n->seq);
     }
-    if (retain && (kept_any || !want.empty())) relay_note(page);
     stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
     clock_.advance_us(rt_.config().diff_apply_per_kb_us *
                       (static_cast<double>(patched) / 1024.0));
-    // Nothing else fetched for the faulting page itself is retained: an
-    // applied interval is only wanted again by the migratory relay above
-    // (each (writer, seq) is learned and invalidated at most once), so
-    // copying other reply chunks into the cache would be pure overhead.
-    // The cache is populated for *other* pages by the prefetch parking loop
-    // above and by the barrier-GC validation pass.
 
     // Drop what we applied; the service thread may have appended more
     // notices (a flush) while we were fetching — loop if so.

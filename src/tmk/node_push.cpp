@@ -39,9 +39,10 @@ PushKind push_kind(std::uint32_t key) {
 void Node::push_land(std::uint32_t key, PageIndex page,
                      const std::vector<std::uint32_t>& pushers,
                      std::vector<PushedChunk>& chunks, PushBatch& b) {
-  // Relay retention follows from the keying: a lock-protected page keeps its
-  // applied droppable chunks, so this node's own later grant can relay the
-  // chain's accumulated diffs onward instead of shipping whole-page images.
+  // Relay stock follows from the keying: a lock-protected page keeps its
+  // pushed chunks, applied or not, exactly like a fault inside a critical
+  // section keeps its fetched ones — the one stock routed requests are
+  // answered from and this node's own later grant relays onward.
   const bool retain = push_kind(key) == PushKind::kLock;
   PageEntry& e = pages_[page];
   std::lock_guard<std::mutex> lock(e.mu);
@@ -54,11 +55,10 @@ void Node::push_land(std::uint32_t key, PageIndex page,
   for (PushedChunk& c : chunks) {
     any_kept |= e.diff_cache.insert(c.writer, c.seq, std::move(c.chunks),
                                     rt_.config().diff_cache_bytes_per_page);
-    // Relay stock is marked so the prune pass can drop it once a floor
-    // covers it (mark_relay no-ops on budget-rejected keys).
-    if (retain) e.diff_cache.mark_relay(c.writer, c.seq);
+    // Stock is indexed so the prune pass can drop it once a floor covers it
+    // (a no-op on budget-rejected keys).
+    if (retain) relay_keep(page, e, c.writer, c.seq);
   }
-  if (retain && any_kept) relay_note(page);
   if (!any_kept) {
     // The budget rejected every chunk (oversized diffs, or GC pins already
     // fill the page's cache): these pushes can never land, and the
@@ -90,10 +90,13 @@ void Node::push_land(std::uint32_t key, PageIndex page,
       b.patched += diff_apply(mem, kPageSize, d);
       ++b.applied;
     }
-    // An applied interval is never wanted again, except as relay stock.
-    // Pinned entries (barrier-GC stashes of reclaimed diffs) release even
-    // then, same as on the fault path: their seqs are below the GC floor, so
-    // no grant delta can ever name them again and a stale pin would leak
+    // Under the lock keying the applied entry stays as stock.  Under the
+    // barrier keying it is released: update-mode pages are barrier-shared,
+    // not migrating along a lock chain (a routed request that still wants
+    // the interval takes the miss path).  Pinned entries (barrier-GC
+    // stashes of reclaimed diffs) release either way, same as on the fault
+    // path: their seqs are below the GC floor, so no routed request or
+    // grant delta can ever name them again and a stale pin would leak
     // pinned bytes forever.
     if (!retain || cached->pinned) e.diff_cache.erase(n.writer, n.seq);
   }
@@ -471,22 +474,21 @@ void Node::update_copyset_fold(std::uint64_t epoch) {
 
 void Node::lock_push_note_touch(PageIndex page) {
   // Critical-section attribution: the faulted page belongs to every lock
-  // this compute thread currently holds.  held_locks_ is only populated
-  // while lock push is enabled, so the default fault path pays a single
-  // empty-vector check.
+  // this compute thread currently holds.  A fault outside any critical
+  // section pays a single empty-vector check.
+  if (held_locks_.empty() || !rt_.config().lock_push_enabled()) return;
   for (std::uint32_t lock_id : held_locks_) cs_touched_[lock_id].push_back(page);
 }
 
 void Node::lock_push_begin_cs(std::uint32_t lock_id) {
-  if (!rt_.config().lock_push_enabled()) return;
   held_locks_.push_back(lock_id);
-  cs_touched_[lock_id].clear();
+  if (rt_.config().lock_push_enabled()) cs_touched_[lock_id].clear();
 }
 
 void Node::lock_push_end_cs(std::uint32_t lock_id) {
-  if (!rt_.config().lock_push_enabled()) return;
   held_locks_.erase(std::remove(held_locks_.begin(), held_locks_.end(), lock_id),
                     held_locks_.end());
+  if (!rt_.config().lock_push_enabled()) return;
   std::vector<PageIndex> touched;
   auto tit = cs_touched_.find(lock_id);
   if (tit != cs_touched_.end()) touched = std::move(tit->second);
@@ -545,9 +547,9 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
   // delta relays the whole chain history the requester missed, so a page
   // everyone updates under the lock carries several writers' notices.  Our
   // own intervals' diffs come from the diff store; relayed writers' diffs
-  // come from this page's requester-side cache, where the fault path and
-  // the push landing *retain* chunks for lock-touched pages exactly so
-  // the chain can forward them (the migratory relay).  A page the relay
+  // come from this page's relay stock — the chunks the fault path keeps
+  // inside critical sections and the push landing keeps for lock-protected
+  // pages, which routed kDiffRequests are answered from too.  A page the relay
   // cannot fully cover falls back to the whole-page image, and failing
   // that to a partial own-diff push or the plain pull path.
   struct Cand {

@@ -118,19 +118,32 @@ void Node::handle_message(sim::Message&& m) {
 void Node::on_diff_request(sim::Message&& m) {
   // Multi-page request: one message may carry the faulting page, its
   // prefetch window and (at barriers) every page the requester's GC
-  // validation pass wants from this writer.
+  // validation pass wants from this writer.  A routed request (a fault
+  // inside the requester's critical section) also names other writers'
+  // intervals, served from this node's relay stock for the page.
   ByteReader r(m.payload);
   const std::uint32_t epoch_tag = r.u32();
-  const bool for_gc = r.u8() != 0;
+  const std::uint8_t flags = r.u8();
+  const bool for_gc = (flags & kDiffReqForGc) != 0;
+  const bool routed = (flags & kDiffReqRouted) != 0;
   const std::uint32_t npages = r.u32();
-  std::vector<std::pair<PageIndex, std::vector<std::uint32_t>>> pages;
+  struct Entry {
+    std::uint32_t author = 0;
+    std::uint32_t seq = 0;
+    // Where the chunks come from: the diff store (own intervals) or a copy
+    // of the stock entry taken under the page's mu (nullptr: a miss).
+    const std::vector<DiffBytes>* chunks = nullptr;
+  };
+  std::vector<std::pair<PageIndex, std::vector<Entry>>> pages;
   pages.reserve(npages);
   for (std::uint32_t p = 0; p < npages; ++p) {
     const PageIndex page = r.u32();
-    const std::uint32_t n = r.u32();
-    std::vector<std::uint32_t> seqs(n);
-    for (auto& s : seqs) s = r.u32();
-    pages.emplace_back(page, std::move(seqs));
+    std::vector<Entry> entries(r.u32());
+    for (Entry& en : entries) {
+      en.author = routed ? r.u32() : id_;
+      en.seq = r.u32();
+    }
+    pages.emplace_back(page, std::move(entries));
   }
 
   // Copyset tracking: every fault-path request names the requester a reader
@@ -141,7 +154,7 @@ void Node::on_diff_request(sim::Message&& m) {
   if (!for_gc && rt_.config().update_enabled()) {
     const std::uint64_t bit = std::uint64_t{1} << m.src;
     std::lock_guard<std::mutex> lock(copyset_mu_);
-    for (const auto& [page, seqs] : pages) {
+    for (const auto& [page, entries] : pages) {
       copyset_[page].epoch_readers[epoch_tag & 1] |= bit;
     }
   }
@@ -149,44 +162,62 @@ void Node::on_diff_request(sim::Message&& m) {
   // Materialize lazily if an interval's twin is still pending.  The page is
   // at most PROT_READ for a closed interval, so its bytes are stable.  (Done
   // before taking store_mu_: materialize_twin takes e.mu then store_mu_.)
-  // An absent page holds no twin.
-  for (const auto& [page, seqs] : pages) {
+  // Other writers' intervals are copied out of the stock under the same
+  // mu: the compute thread may evict or prune them the moment it drops.  An
+  // absent page holds no twin and no stock.
+  std::vector<std::vector<DiffBytes>> stock;  // the copies, reserved up front
+  if (routed) {
+    std::size_t foreign = 0;
+    for (const auto& [page, entries] : pages)
+      for (const Entry& en : entries) foreign += en.author != id_ ? 1 : 0;
+    stock.reserve(foreign);
+  }
+  for (auto& [page, entries] : pages) {
     PageEntry* e = pages_.find(page);
     if (e == nullptr) continue;
-    for (std::uint32_t seq : seqs) {
-      std::lock_guard<std::mutex> lock(e->mu);
-      if (e->twin_valid && e->twin.seq == seq) materialize_twin(page, *e);
+    std::lock_guard<std::mutex> lock(e->mu);
+    for (Entry& en : entries) {
+      if (en.author == id_) {
+        if (e->twin_valid && e->twin.seq == en.seq) materialize_twin(page, *e);
+      } else if (const auto* chunks = e->diff_cache.find(en.author, en.seq)) {
+        stock.push_back(*chunks);
+        en.chunks = &stock.back();
+      }
     }
   }
 
   ByteWriter w;
   std::lock_guard<std::mutex> lock(store_mu_);
-  std::vector<const std::vector<DiffBytes>*> per_seq;
   std::size_t reply_size = 4;  // page count
-  for (const auto& [page, seqs] : pages) {
+  for (auto& [page, entries] : pages) {
     reply_size += 8;  // page + interval count
-    for (std::uint32_t seq : seqs) {
-      auto it = diff_store_.find(diff_store_key(page, seq));
-      NOW_CHECK(it != diff_store_.end())
-          << "node " << id_ << " asked for missing diff: page " << page
-          << " interval " << seq;
-      reply_size += 8;  // seq + chunk count
-      for (const DiffBytes& d : it->second) reply_size += 4 + d.size();
-      per_seq.push_back(&it->second);
+    for (Entry& en : entries) {
+      reply_size += 8;  // seq + chunk count (or the miss marker)
+      if (en.author == id_) {
+        auto it = diff_store_.find(diff_store_key(page, en.seq));
+        NOW_CHECK(it != diff_store_.end())
+            << "node " << id_ << " asked for missing diff: page " << page
+            << " interval " << en.seq;
+        en.chunks = &it->second;
+      }
+      if (en.chunks != nullptr)
+        for (const DiffBytes& d : *en.chunks) reply_size += 4 + d.size();
     }
   }
   // One exact reservation for the whole reply, then straight-line appends.
   w.reserve(reply_size);
   w.u32(npages);
-  std::size_t flat = 0;
-  for (const auto& [page, seqs] : pages) {
+  for (const auto& [page, entries] : pages) {
     w.u32(page);
-    w.u32(static_cast<std::uint32_t>(seqs.size()));
-    for (std::uint32_t seq : seqs) {
-      w.u32(seq);
-      const std::vector<DiffBytes>& chunks = *per_seq[flat++];
-      w.u32(static_cast<std::uint32_t>(chunks.size()));
-      for (const DiffBytes& d : chunks) w.bytes(d.data(), d.size());
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const Entry& en : entries) {
+      w.u32(en.seq);
+      if (en.chunks == nullptr) {
+        w.u32(kDiffStockMiss);
+        continue;
+      }
+      w.u32(static_cast<std::uint32_t>(en.chunks->size()));
+      for (const DiffBytes& d : *en.chunks) w.bytes(d.data(), d.size());
     }
   }
 

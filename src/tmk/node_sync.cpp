@@ -5,6 +5,7 @@
 // proposes to remove), and the Tmk_fork/Tmk_join pair OpenMP-style execution
 // rides on.
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "common/bytes.h"
@@ -292,7 +293,7 @@ void Node::gc_at_barrier(const VectorTime& floor) {
     }
   }
 
-  if (rt_.config().lock_push_enabled()) relay_prune(floor);
+  relay_prune(floor);
 }
 
 void Node::gc_raise_floor(const VectorTime& floor) {
@@ -394,7 +395,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<DiffWant> wants;
   for (const PageWork& w : work)
     for (const auto& [writer, seqs] : w.fetch)
-      wants.push_back({w.page, writer, seqs});
+      wants.push_back({w.page, writer, seqs, {}});
   std::vector<sim::Message> replies;
   auto got = fetch_diffs(wants, replies, /*for_gc=*/true);
 
@@ -524,7 +525,7 @@ void Node::gc_poll() {
     }
     gc_raise_floor(floor);
     gc_reclaim_store_to(ack[id_]);
-    if (cfg.lock_push_enabled()) relay_prune(gc_floor_snapshot());
+    relay_prune(gc_floor_snapshot());
   }
   if (meta_bytes() <= cfg.meta_ceiling_bytes) return;
   // One initiation per generation, not one per sync op: while the exchange
@@ -568,23 +569,59 @@ void Node::gc_reclaim_store_to(std::uint32_t ack_seq) {
   }
 }
 
-void Node::relay_note(PageIndex page) { relay_pages_.push_back(page); }
+namespace {
+// Min-heap order for the relay stock index: lowest seq on top.
+constexpr std::greater<std::pair<std::uint32_t, PageIndex>> kRelayHeapOrder{};
+}  // namespace
+
+void Node::relay_keep(PageIndex page, PageEntry& e, std::uint32_t writer,
+                      std::uint32_t seq) {
+  if (!e.diff_cache.mark_relay(writer, seq)) return;  // absent or indexed
+  auto& heap = relay_index_[writer];
+  heap.emplace_back(seq, page);
+  std::push_heap(heap.begin(), heap.end(), kRelayHeapOrder);
+  if (++relay_index_keys_ < relay_index_compact_) return;
+  // Stale keys (evicted, applied-and-erased or pinned since) now outnumber
+  // the live ones: keep only what still indexes stock.  Amortized O(1) per
+  // key: the next compaction needs as many new keys as survive this one.
+  // The caller holds e.mu, so this page's stock is checked without
+  // re-locking it; taking a second page's mu under it cannot deadlock, as
+  // no other thread ever holds two page locks.
+  relay_index_keys_ = 0;
+  for (std::uint32_t w = 0; w < num_nodes_; ++w) {
+    auto& h = relay_index_[w];
+    std::sort(h.begin(), h.end());
+    h.erase(std::unique(h.begin(), h.end()), h.end());
+    h.erase(std::remove_if(h.begin(), h.end(),
+                           [&](const std::pair<std::uint32_t, PageIndex>& k) {
+                             if (k.second == page)
+                               return !e.diff_cache.holds_stock(w, k.first);
+                             PageEntry& ke = pages_[k.second];
+                             std::lock_guard<std::mutex> lock(ke.mu);
+                             return !ke.diff_cache.holds_stock(w, k.first);
+                           }),
+            h.end());
+    std::make_heap(h.begin(), h.end(), kRelayHeapOrder);
+    relay_index_keys_ += h.size();
+  }
+  relay_index_compact_ = 2 * relay_index_keys_ + 64;
+}
 
 void Node::relay_prune(const VectorTime& floor) {
-  if (relay_pages_.empty()) return;
-  std::sort(relay_pages_.begin(), relay_pages_.end());
-  relay_pages_.erase(std::unique(relay_pages_.begin(), relay_pages_.end()),
-                     relay_pages_.end());
   std::size_t chunks = 0;
   std::size_t bytes = 0;
-  std::vector<PageIndex> keep;
-  for (PageIndex page : relay_pages_) {
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    chunks += e.diff_cache.prune_below(floor, &bytes);
-    if (e.diff_cache.relay_bytes() > 0) keep.push_back(page);
+  for (std::uint32_t w = 0; w < num_nodes_; ++w) {
+    auto& heap = relay_index_[w];
+    while (!heap.empty() && heap.front().first <= floor[w]) {
+      std::pop_heap(heap.begin(), heap.end(), kRelayHeapOrder);
+      const auto [seq, page] = heap.back();
+      heap.pop_back();
+      --relay_index_keys_;
+      PageEntry& e = pages_[page];
+      std::lock_guard<std::mutex> lock(e.mu);
+      if (e.diff_cache.drop_stock(w, seq, &bytes)) ++chunks;
+    }
   }
-  relay_pages_ = std::move(keep);
   if (chunks) {
     stats_.relay_chunks_pruned.fetch_add(chunks, std::memory_order_relaxed);
     stats_.relay_bytes_pruned.fetch_add(bytes, std::memory_order_relaxed);
@@ -727,10 +764,11 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
   // invariant the fault path relies on.
   lock_land_push(lock_id, grant.src, r);
   if (rt_.config().gc_lock_floors) gc_raise_floor(floor);
-  // Retained relay chunks at or below the applied floor can never serve a
-  // fault nor ride a future grant delta again: drop them here, on the chain
-  // itself, so a rotating barrier-free loop's relay stock stays bounded.
-  if (rt_.config().lock_push_enabled()) relay_prune(gc_floor_snapshot());
+  // Relay stock at or below the applied floor can never serve a fault nor
+  // ride a future grant delta again: drop it here, on the chain itself, so
+  // a rotating barrier-free loop's stock stays bounded.  Pops only what the
+  // floor covers — this runs on every grant.
+  relay_prune(gc_floor_snapshot());
   return lock_id;
 }
 

@@ -72,7 +72,17 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //    are fully covered, skipping the fault.  Keying by (writer, seq) is what
 //    makes a push racing a pull-path fetch idempotent: whichever applies
 //    first erases the entry, the other's copy is redundant bytes, never a
-//    second application.
+//    second application;
+//  - relay stock (budgeted FIFO insert, marked `relayed`): a fault taken
+//    inside a critical section keeps the chunks it applied instead of
+//    releasing them, and so does the lock keying's landing.  The node's
+//    service thread answers routed kDiffRequests for the page's other
+//    writers from it, and the node's own grants relay it down the lock
+//    chain.  Droppable — every writer still holds its diff, so a miss only
+//    costs the asker a direct fetch — and dropped by Node::relay_prune once
+//    a floor covers it.
+// Only the compute thread mutates the cache, always under the page's mu;
+// the service thread reads stock under the same mu.
 class PageDiffCache {
  public:
   // Mirrors every bytes_ change into a node-wide counter (a relaxed atomic
@@ -86,7 +96,7 @@ class PageDiffCache {
     std::vector<DiffBytes> chunks;
     bool pinned = false;      // exempt from FIFO eviction (barrier-GC)
     bool prefetched = false;  // arrived via multi-page prefetch (stats only)
-    bool relayed = false;     // retained for the migratory lock relay
+    bool relayed = false;     // relay stock: kept past its apply
     std::uint32_t slot = 0;   // its FIFO position (unpinned entries only)
   };
 
@@ -171,8 +181,9 @@ class PageDiffCache {
 
   // Drops the entry for (writer, seq) if present (its FIFO key goes stale;
   // the eviction loop skips it and the next compaction drops it).  Used to
-  // release an entry once its chunks have been applied — an applied interval
-  // is never wanted again.
+  // release an entry once its chunks have been applied and nothing will ask
+  // for them again: outside a critical section, or a pin (see Node's relay
+  // stock for the entries that outlive their apply).
   void erase(std::uint32_t writer, std::uint32_t seq) {
     auto it = map_.find(key(writer, seq));
     if (it == map_.end()) return;
@@ -184,40 +195,35 @@ class PageDiffCache {
     map_.erase(it);
   }
 
-  // Marks an already-held entry as retained for the migratory lock relay
-  // (provenance + byte accounting; no eviction-class change — relay
-  // retention is droppable by contract, its writer still holds the diff).
-  void mark_relay(std::uint32_t writer, std::uint32_t seq) {
+  // Marks an already-held entry as relay stock (provenance + byte
+  // accounting; no eviction-class change — stock is droppable by contract,
+  // its writer still holds the diff).  Returns true if the entry was held
+  // and not yet marked.
+  bool mark_relay(std::uint32_t writer, std::uint32_t seq) {
     auto it = map_.find(key(writer, seq));
-    if (it == map_.end() || it->second.relayed) return;
+    if (it == map_.end() || it->second.relayed) return false;
     it->second.relayed = true;
     for (const DiffBytes& c : it->second.chunks) relay_bytes_ += c.size();
+    return true;
   }
 
-  // Drops every unpinned entry whose interval the floor covers: validation
-  // resolved all notices at or below the floor, and grant-chain deltas are
-  // cut above it, so a covered droppable chunk can never serve a fault nor
-  // be relayed again — keeping it would be the FIFO-forever leak.  Pins are
-  // exempt (they are the *only* copy until applied).  Returns the number of
-  // entries dropped and adds their bytes to *bytes_pruned.
-  std::size_t prune_below(const VectorTime& floor, std::size_t* bytes_pruned) {
-    std::size_t dropped = 0;
-    for (auto it = map_.begin(); it != map_.end();) {
-      const std::uint32_t writer = static_cast<std::uint32_t>(it->first >> 32);
-      const std::uint32_t seq = static_cast<std::uint32_t>(it->first);
-      if (it->second.pinned || writer >= floor.size() || seq > floor[writer]) {
-        ++it;
-        continue;
-      }
-      std::size_t sz = 0;
-      for (const DiffBytes& c : it->second.chunks) sz += c.size();
-      sub_bytes(sz);
-      if (it->second.relayed) relay_bytes_ -= sz;
-      if (bytes_pruned != nullptr) *bytes_pruned += sz;
-      ++dropped;
-      it = map_.erase(it);  // its FIFO key goes stale; eviction tolerates it
-    }
-    return dropped;
+  // Whether (writer, seq) is held as droppable relay stock — the entries
+  // Node::relay_prune may drop.  Pins are exempt: they are the *only* copy
+  // until applied.
+  bool holds_stock(std::uint32_t writer, std::uint32_t seq) const {
+    const Entry* e = lookup(writer, seq);
+    return e != nullptr && e->relayed && !e->pinned;
+  }
+
+  // Drops (writer, seq) if it is droppable relay stock; adds its bytes to
+  // *bytes_pruned and returns true if it did.
+  bool drop_stock(std::uint32_t writer, std::uint32_t seq,
+                  std::size_t* bytes_pruned) {
+    if (!holds_stock(writer, seq)) return false;
+    const std::size_t before = bytes_;
+    erase(writer, seq);  // its FIFO key goes stale; eviction tolerates it
+    *bytes_pruned += before - bytes_;
+    return true;
   }
 
   std::size_t bytes() const { return bytes_; }
@@ -274,7 +280,7 @@ class PageDiffCache {
   std::size_t head_ = 0;
   std::size_t bytes_ = 0;
   std::size_t pinned_bytes_ = 0;  // subset of bytes_ held by pinned entries
-  std::size_t relay_bytes_ = 0;   // subset of bytes_ retained for the relay
+  std::size_t relay_bytes_ = 0;   // subset of bytes_ held as relay stock
   std::atomic<std::size_t>* total_ = nullptr;  // node-wide mirror of bytes_
 };
 

@@ -3,7 +3,8 @@
 // lock-protected read-modify-writes over a shared region, and the final
 // region contents are compared byte-for-byte across the full protocol config
 // matrix {update on/off} x {prefetch 0/4} x {gc_at_barriers on/off} x
-// {diff cache on/off}, plus wide-prefetch (16) and lock-push legs.
+// {diff cache on/off}, plus wide-prefetch (16), lock-push and tiny-cache
+// (relay stock evicted, routed faults missing) legs.
 // Every run is also checked against a sequentially replayed model, so "all
 // configs equally wrong" cannot slip through.  The seed is printed on
 // failure; replay a specific one with
@@ -315,6 +316,13 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   matrix.push_back({0, false, 16 * 1024, false, 16 * 1024, 0, false, 4096});
   matrix.push_back({4, true, 16 * 1024, true, 0, 2, true, 4096});
   matrix.push_back({0, false, 0, false, 0, 0, false, 4096});
+  // Tiny-cache legs: a 256-byte page cache evicts relay stock almost as soon
+  // as it lands, so routed faults inside the schedule's critical sections
+  // keep taking the second round (stock misses), and prefetched entries are
+  // evicted before their fault — at both prefetch settings, across GC modes.
+  for (std::size_t prefetch : {std::size_t{0}, std::size_t{4}})
+    for (bool gc : {false, true})
+      matrix.push_back({prefetch, gc, 256, false, 0});
   // Lossy-wire legs: each fault class alone at the issue's rates — drop 1%,
   // dup 0.5%, reorder 1%, delay jitter — then all four at once riding the
   // protocol combinations whose ordering assumptions a lossy wire attacks:

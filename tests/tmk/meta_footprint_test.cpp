@@ -84,14 +84,17 @@ TEST(MetaFootprint, CacheMirrorTracksEveryMutationPath) {
   a.erase(3, 1);
   EXPECT_EQ(total.load(), sum());
 
-  // Floor pruning drops covered droppables (and skips pins) in both caches.
+  // Stock pruning drops droppable relay stock (and skips pins) in both
+  // caches.
   EXPECT_TRUE(b.insert(2, 2, {DiffBytes(50, 5)}, kBudget));
-  VectorTime floor(4, 0);
-  floor[1] = 5;  // covers a's (1,2) — pinned, exempt
-  floor[2] = 5;  // covers b's (2,1) and (2,2) — dropped
+  EXPECT_TRUE(a.mark_relay(1, 2));  // pinned stock: exempt
+  EXPECT_TRUE(b.mark_relay(2, 1));
+  EXPECT_TRUE(b.mark_relay(2, 2));
+  EXPECT_FALSE(b.mark_relay(2, 2));  // already stock
   std::size_t pruned_bytes = 0;
-  EXPECT_EQ(a.prune_below(floor, &pruned_bytes), 0u);
-  EXPECT_EQ(b.prune_below(floor, &pruned_bytes), 2u);
+  EXPECT_FALSE(a.drop_stock(1, 2, &pruned_bytes));
+  EXPECT_TRUE(b.drop_stock(2, 1, &pruned_bytes));
+  EXPECT_TRUE(b.drop_stock(2, 2, &pruned_bytes));
   EXPECT_EQ(pruned_bytes, 110u);
   EXPECT_EQ(total.load(), sum());
   ASSERT_NE(a.find(1, 2), nullptr);
