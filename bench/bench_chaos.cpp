@@ -10,12 +10,16 @@
 //   reliable — sequencing + acks on a clean wire: the protocol's zero-loss
 //              overhead (piggybacked acks are free; only idle-link
 //              standalone acks cost anything).
-//   drop1    — 1% of transmissions vanish: retransmit copies + acks.
+//   drop1    — 1% of transmissions vanish: ack requests, the retransmit
+//              copies their answers prove necessary, and acks.
 //   all      — drop 1% + dup 0.5% + reorder 1% + 200us jitter at once.
 //
 // Every leg must produce the same checksum — exactly-once delivery restores
 // byte identity no matter the wire.  check_trajectory.py gates the off-leg
 // identity and the drop-leg overhead ratio against the baselines file.
+// Each leg also reports how losses were repaired (ack requests, fast
+// retransmits) and what a loss cost in host time: p50/p90 of first
+// transmission to ack, over the entries that needed a retransmission.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -146,7 +150,9 @@ int chaos_json() {
                 "\"wire_bytes\": %llu, \"checksum\": %llu,\n"
                 "        \"retransmits\": %llu, \"dup_drops\": %llu, "
                 "\"reorder_holds\": %llu, \"acks_sent\": %llu, "
-                "\"ack_wire_bytes\": %llu}",
+                "\"ack_wire_bytes\": %llu,\n"
+                "        \"ack_requests\": %llu, \"fast_retransmits\": %llu, "
+                "\"recovery_us_p50\": %llu, \"recovery_us_p90\": %llu}",
                 first ? "" : ",\n", leg.name,
                 (unsigned long long)r.messages,
                 (unsigned long long)r.payload_bytes,
@@ -156,7 +162,11 @@ int chaos_json() {
                 (unsigned long long)r.chan.dup_drops,
                 (unsigned long long)r.chan.reorder_holds,
                 (unsigned long long)r.chan.acks_sent,
-                (unsigned long long)r.chan.ack_wire_bytes);
+                (unsigned long long)r.chan.ack_wire_bytes,
+                (unsigned long long)r.chan.ack_requests,
+                (unsigned long long)r.chan.fast_retransmits,
+                (unsigned long long)r.chan.recovery_us.quantile(0.5),
+                (unsigned long long)r.chan.recovery_us.quantile(0.9));
     first = false;
   }
   std::printf("\n    }\n  }\n}\n");
@@ -171,21 +181,27 @@ int main(int argc, char** argv) {
 
   std::printf("== Lossy wire: retransmission overhead, %u nodes x %zu epochs ==\n",
               kNodes, kEpochs);
-  std::printf("%-10s %9s %11s %11s %8s %8s %7s %6s  %s\n", "leg", "messages",
-              "payload", "wire", "retrans", "dupdrop", "reohold", "acks",
+  std::printf("%-10s %9s %11s %11s %8s %6s %8s %7s %6s %6s %7s %7s  %s\n",
+              "leg", "messages", "payload", "wire", "retrans", "fast",
+              "dupdrop", "reohold", "acks", "ackreq", "rec_p50", "rec_p90",
               "checksum");
   std::uint64_t off_wire = 0;
   for (const Leg& leg : legs()) {
     const LegResult r = run(leg);
     if (!std::strcmp(leg.name, "off")) off_wire = r.wire_bytes;
-    std::printf("%-10s %9llu %11llu %11llu %8llu %8llu %7llu %6llu  %llu",
+    std::printf("%-10s %9llu %11llu %11llu %8llu %6llu %8llu %7llu %6llu %6llu "
+                "%7llu %7llu  %llu",
                 leg.name, (unsigned long long)r.messages,
                 (unsigned long long)r.payload_bytes,
                 (unsigned long long)r.wire_bytes,
                 (unsigned long long)r.chan.retransmits,
+                (unsigned long long)r.chan.fast_retransmits,
                 (unsigned long long)r.chan.dup_drops,
                 (unsigned long long)r.chan.reorder_holds,
                 (unsigned long long)r.chan.acks_sent,
+                (unsigned long long)r.chan.ack_requests,
+                (unsigned long long)r.chan.recovery_us.quantile(0.5),
+                (unsigned long long)r.chan.recovery_us.quantile(0.9),
                 (unsigned long long)r.checksum);
     if (off_wire != 0)
       std::printf("  (%.3fx wire)", (double)r.wire_bytes / (double)off_wire);

@@ -241,7 +241,7 @@ def main():
                     failures.append("KNOBS-OFF WIRE DRIFT: " + line)
                 else:
                     print("  ok   " + line)
-            for field in ("retransmits", "acks_sent"):
+            for field in ("retransmits", "acks_sent", "ack_requests"):
                 if int(off_meas.get(field, 0)) != 0:
                     failures.append("chaos off leg has nonzero %s — the channel "
                                     "ran with every knob off" % field)

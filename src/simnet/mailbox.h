@@ -35,6 +35,22 @@ class Mailbox {
     cv_.notify_one();
   }
 
+  // Two back-to-back frames landing as one: a popper that sees `first`
+  // finds `then` already queued behind it (the channel's reorder release,
+  // whose parked packet must not trail its overtaker by a scheduling gap).
+  void push_pair(Message&& first, Message&& then) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_) {
+        dropped_after_close_ += 2;
+        return;
+      }
+      queue_.push_back(std::move(first));
+      queue_.push_back(std::move(then));
+    }
+    cv_.notify_one();
+  }
+
   // Blocks until a message is available or the mailbox is closed.
   std::optional<Message> pop() {
     std::unique_lock<std::mutex> lock(mu_);

@@ -14,6 +14,44 @@ namespace now::sim {
 
 inline constexpr std::size_t kMaxMessageTypes = 64;
 
+// Log-bucketed host-latency distribution in microseconds: exact below 4us,
+// then four buckets per octave (a quantile reads its bucket's floor, within
+// 19% of the sample), up to 2^24us.  Plain counts, so snapshots sum.
+struct LatencyHistogram {
+  static constexpr std::size_t kBuckets = 96;
+  std::array<std::uint64_t, kBuckets> counts{};
+
+  static std::size_t bucket(std::uint64_t us) {
+    if (us < 4) return static_cast<std::size_t>(us);
+    const unsigned octave = 63u - static_cast<unsigned>(__builtin_clzll(us));
+    const std::size_t b = 4 * (octave - 1) + ((us >> (octave - 2)) & 3);
+    return b < kBuckets ? b : kBuckets - 1;
+  }
+  static std::uint64_t floor_of(std::size_t b) {
+    if (b < 4) return b;
+    return (4 + b % 4) << (b / 4 - 1);
+  }
+
+  // The floor of the bucket holding the q-quantile sample; 0 when empty.
+  std::uint64_t quantile(double q) const {
+    std::uint64_t n = 0;
+    for (std::uint64_t c : counts) n += c;
+    if (n == 0) return 0;
+    const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(n));
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      seen += counts[b];
+      if (seen > rank) return floor_of(b);
+    }
+    return floor_of(kBuckets - 1);
+  }
+
+  LatencyHistogram& operator+=(const LatencyHistogram& o) {
+    for (std::size_t b = 0; b < kBuckets; ++b) counts[b] += o.counts[b];
+    return *this;
+  }
+};
+
 // Reliability-channel activity (sequencing, retransmission, fault injection).
 // All zero when the channel is disabled — the default wire is perfect, so
 // these counters are pure additions to the Table 2 measurement substrate.
@@ -23,8 +61,14 @@ struct ChannelSnapshot {
   std::uint64_t dups_injected = 0;
   std::uint64_t reorders_injected = 0;
   // The protocol's reactions.
-  std::uint64_t retransmits = 0;           // timed-out transmissions re-sent
+  std::uint64_t retransmits = 0;           // transmissions re-sent (all paths)
   std::uint64_t retransmit_wire_bytes = 0;
+  std::uint64_t ack_requests = 0;      // header-only probes for an immediate ack
+  std::uint64_t fast_retransmits = 0;  // of retransmits: repairs an ack
+                                       // request's answer proved missing
+  // Host us from first transmission to ack, for entries that needed a
+  // retransmission (the wall-clock price of a loss).
+  LatencyHistogram recovery_us;
   std::uint64_t dup_drops = 0;             // receiver-side dedup discards
   std::uint64_t reorder_holds = 0;         // held for a missing predecessor
   std::uint64_t acks_sent = 0;             // standalone acks (idle reverse path)
@@ -45,6 +89,9 @@ struct ChannelSnapshot {
     reorders_injected += o.reorders_injected;
     retransmits += o.retransmits;
     retransmit_wire_bytes += o.retransmit_wire_bytes;
+    ack_requests += o.ack_requests;
+    fast_retransmits += o.fast_retransmits;
+    recovery_us += o.recovery_us;
     dup_drops += o.dup_drops;
     reorder_holds += o.reorder_holds;
     acks_sent += o.acks_sent;

@@ -223,10 +223,12 @@ struct DsmConfig {
   // entirely — zero cost).  Any nonzero fault forces the reliability
   // channel on: sequence numbers on every message, receiver-side dedup and
   // reorder holds restoring exactly-once per-sender FIFO before any
-  // handler runs, sender-side retransmission with backoff, acks
+  // handler runs, sender-side loss repair (an ack request whose answer
+  // names the missing transmissions, behind an RTO with backoff), acks
   // piggybacked on reverse traffic (standalone kAck only on an idle
-  // reverse link).  Deterministic: faults are drawn from a counter-indexed
-  // hash of the seed per link, so a failing schedule replays exactly.
+  // reverse link or to answer an ack request).  Deterministic: faults are
+  // drawn from a counter-indexed hash of the seed per link, so a failing
+  // schedule replays exactly.
   // Defaults overridable via TMK_NET_DROP_PPM / TMK_NET_DUP_PPM /
   // TMK_NET_REORDER_PPM / TMK_NET_JITTER_NS / TMK_NET_FAULT_SEED.
   sim::FaultConfig net_fault = sim::FaultConfig::from_env();
@@ -236,8 +238,10 @@ struct DsmConfig {
   // overhead.  Default overridable via TMK_NET_RELIABLE.
   bool net_reliable = detail::env_flag("TMK_NET_RELIABLE", false);
 
-  // Consecutive retransmissions of one packet before the channel gives a
-  // verdict: without crash injection that verdict is a loud abort (the
+  // Consecutive RTO expiries of one packet before the channel gives a
+  // verdict (a retransmission an ack request's answer proved necessary
+  // counts none and restarts the count: the answer proves the peer alive).
+  // Without crash injection that verdict is a loud abort (the
   // protocol, not the wire, is broken — with every fault probability < 1,
   // that many losses of the same packet is astronomically unlikely); with
   // crash injection armed it is the node-down report that triggers

@@ -515,6 +515,12 @@ class Node {
   std::vector<PageIndex> gc_scan_pages_;
 
   // ---- consistency metadata (meta_mu_) ----
+  // Held across a whole merge_and_invalidate: the log merge and the page
+  // invalidations it implies.  A lock-push image snapshots the log's vector
+  // time as the claim of what its bytes contain, so it must never see a
+  // merged record whose page is still valid with the old bytes (taken
+  // before meta_mu_; see append_lock_push).
+  std::mutex merge_mu_;
   std::mutex meta_mu_;
   KnowledgeLog log_;
   std::uint32_t own_seq_ = 0;      // last closed interval

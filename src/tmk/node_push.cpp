@@ -587,7 +587,14 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
   // concurrent writer's applied words.  The snapshot vector time rides with
   // each image so the requester can verify coverage of every notice it
   // holds.  (Diff pushes need no such guard — they patch exactly the bytes
-  // the named intervals wrote, like any fetched diff.)
+  // the named intervals wrote, like any fetched diff.)  No merge may run
+  // from the snapshot until the last image is copied: a merge advances the
+  // vector time before it invalidates the pages its records name, and an
+  // image copied in between would claim intervals its bytes lack — the
+  // requester would drop those notices as covered and lose the writes for
+  // good.  (The service thread assembles grants from the ownership cache
+  // while the compute thread merges another grant's records.)
+  std::lock_guard<std::mutex> no_merge(merge_mu_);
   bool dominates = true;
   VectorTime grant_vt;
   {

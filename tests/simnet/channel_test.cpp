@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,15 @@ Message make(NodeId src, NodeId dst, std::uint16_t type, std::size_t payload,
 }
 
 void breathe() { std::this_thread::sleep_for(std::chrono::microseconds(200)); }
+
+// Whether the injector drops transmission n (from 1) on link src->dst: the
+// same draw Channel::wire_send makes, so a test can pick a seed whose loss
+// pattern forces one recovery path.
+bool drops(const FaultConfig& f, NodeId src, NodeId dst, std::uint64_t n) {
+  const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | dst;
+  const std::uint64_t base = fault_mix(f.seed ^ fault_mix(link) ^ n);
+  return fault_mix(base ^ 0x9e3779b97f4a7c15ULL) % 1000000 < f.drop_ppm;
+}
 
 // Sequencing on a clean wire: surfaced messages carry consecutive per-link
 // sequence numbers, and a reverse message's piggybacked cumulative ack
@@ -78,7 +88,9 @@ TEST(Channel, StandaloneAckFlushedOnIdleReverseLink) {
   const auto t = net.traffic();
   EXPECT_GE(t.chan.acks_sent, 1u);
   EXPECT_EQ(t.chan.retransmits, 0u);
-  EXPECT_EQ(t.messages_by_type[5], t.chan.acks_sent);  // attributed on the wire
+  // Attributed on the wire.  Ack requests travel as the ack type too: one
+  // goes out if a loaded host lets the ack flush slip past the probe timeout.
+  EXPECT_EQ(t.messages_by_type[5], t.chan.acks_sent + t.chan.ack_requests);
 }
 
 // A lossy link: ~20% of transmissions vanish, and the retransmission
@@ -109,9 +121,11 @@ TEST(Channel, DropsRecoveredExactlyOnceInOrder) {
   EXPECT_GT(t.chan.drops_injected, 0u);
   EXPECT_GT(t.chan.retransmits, 0u);
   // Wire accounting counts every attempt: original sends + retransmits +
-  // acks, minus nothing for the drops (they were real transmissions).
-  EXPECT_EQ(t.messages,
-            kCount + t.chan.retransmits + t.chan.acks_sent);
+  // acks + ack requests, minus nothing for the drops (they were real
+  // transmissions).
+  EXPECT_EQ(t.messages, kCount + t.chan.retransmits + t.chan.acks_sent +
+                            t.chan.ack_requests);
+  EXPECT_LE(t.chan.fast_retransmits, t.chan.retransmits);
 }
 
 // Every transmission duplicated: the receiver dedups, surfacing each
@@ -146,14 +160,17 @@ TEST(Channel, DuplicatesDiscardedBySequenceDedup) {
 // Every transmission reordered: each packet parks until the link's next
 // transmission overtakes it, so the raw wire delivers pairwise swapped.
 // The receiver's gap hold restores FIFO, and the final parked packet is
-// recovered by its own retransmission (the liveness edge: a retransmitted
-// packet is the "next transmission" that flushes the limbo).
+// flushed by the ack request its silence draws (the liveness edge: the
+// request is the "next transmission" that releases the limbo), long before
+// an RTO could fire.
 TEST(Channel, ReordersHeldAndReleasedInOrder) {
   ChannelConfig chan;
   chan.fault.reorder_ppm = 1000000;
   chan.fault.seed = 7;
+  chan.rto_host_us = 10'000'000;
   Network net(2, NetworkModel{}, chan);
 
+  const auto start = std::chrono::steady_clock::now();
   constexpr std::uint64_t kCount = 9;  // odd: the last packet parks alone
   for (std::uint64_t i = 0; i < kCount; ++i) {
     auto m = make(0, 1, 1, 8);
@@ -169,10 +186,153 @@ TEST(Channel, ReordersHeldAndReleasedInOrder) {
     net.try_recv(0);
     breathe();
   }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::microseconds(chan.rto_host_us));
   const auto t = net.traffic();
   EXPECT_GT(t.chan.reorders_injected, 0u);
   EXPECT_GT(t.chan.reorder_holds, 0u);
-  EXPECT_GE(t.chan.retransmits, 1u);  // the lone parked tail needed one
+  EXPECT_GE(t.chan.ack_requests, 1u);  // the lone parked tail drew one
+}
+
+// Fast path, lost data: a lone message dropped on an idle link.  With the
+// RTO pushed out of reach, the only way back is one ack request whose
+// answer names the message missing, and one retransmission.
+TEST(Channel, LostMessageRepairedByOneAckRequest) {
+  ChannelConfig chan;
+  chan.reliable = true;
+  chan.rto_host_us = 10'000'000;
+  chan.fault.drop_ppm = 300000;
+  chan.fault.seed = 1;
+  // Find a seed whose first draw on 0->1 drops and whose next three (the
+  // request, its answer on 1->0, the retransmission) all survive.
+  while (!drops(chan.fault, 0, 1, 1) || drops(chan.fault, 0, 1, 2) ||
+         drops(chan.fault, 1, 0, 1) || drops(chan.fault, 0, 1, 3))
+    ++chan.fault.seed;
+  Network net(2, NetworkModel{}, chan);
+
+  const auto start = std::chrono::steady_clock::now();
+  net.send(make(0, 1, 1, 8));
+  EXPECT_EQ(net.traffic().chan.drops_injected, 1u);
+  std::optional<Message> got;
+  while (!(got = net.try_recv(1))) {
+    net.try_recv(0);
+    breathe();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+  EXPECT_EQ(got->ch_seq, 1u);
+  const auto t = net.traffic();
+  EXPECT_EQ(t.chan.ack_requests, 1u);
+  EXPECT_EQ(t.chan.retransmits, 1u);
+  EXPECT_EQ(t.chan.fast_retransmits, 1u);
+}
+
+// Fast path, held ack: the message arrives but the receiver's standalone
+// ack is held back far past the probe timeout.  The ack request's answer
+// carries the cumulative ack, so the sender's queue drains with nothing
+// resent.
+TEST(Channel, HeldBackAckSettledByAckRequestEcho) {
+  ChannelConfig chan;
+  chan.reliable = true;
+  chan.ack_type = 5;
+  chan.num_msg_types = 6;
+  chan.rto_host_us = 10'000'000;
+  chan.ack_flush_host_us = 10'000'000;
+  Network net(2, NetworkModel{}, chan);
+
+  net.send(make(0, 1, 1, 8));
+  ASSERT_TRUE(net.recv(1).has_value());
+  const auto start = std::chrono::steady_clock::now();
+  while (net.channel_unacked(0) != 0) {
+    EXPECT_FALSE(net.try_recv(0).has_value());  // the answer never surfaces
+    net.try_recv(1);
+    breathe();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  const auto t = net.traffic();
+  EXPECT_GE(t.chan.ack_requests, 1u);
+  // With the flush out of reach, every standalone ack is an answer (one
+  // answer may settle two requests if the host stalls past the timeout).
+  EXPECT_GE(t.chan.acks_sent, 1u);
+  EXPECT_LE(t.chan.acks_sent, t.chan.ack_requests);
+  EXPECT_EQ(t.chan.retransmits, 0u);
+}
+
+// Liveness: repairs an answer proved necessary are not RTO expiries, so a
+// live peer behind a very lossy wire is never declared down, even with a
+// verdict threshold of three consecutive expiries.
+TEST(Channel, LossyLinkNeverDeclaredDown) {
+  ChannelConfig chan;
+  chan.fault.drop_ppm = 200000;
+  chan.fault.seed = 3;
+  chan.max_retries = 3;
+  Network net(2, NetworkModel{}, chan);
+  bool down = false;
+  net.set_node_down([&](NodeId) { down = true; });
+
+  constexpr std::uint64_t kCount = 200;
+  std::uint64_t got = 0;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    auto m = make(0, 1, 1, 8);
+    m.seq = i;
+    net.send(std::move(m));
+    if (auto r = net.try_recv(1)) {
+      ASSERT_EQ(r->seq, got);
+      ++got;
+    }
+    net.try_recv(0);
+  }
+  while (got < kCount && !down) {
+    if (auto r = net.try_recv(1)) {
+      ASSERT_EQ(r->seq, got);
+      ++got;
+    }
+    net.try_recv(0);
+    breathe();
+  }
+  EXPECT_FALSE(down);
+  EXPECT_EQ(got, kCount);
+  const auto t = net.traffic();
+  EXPECT_GT(t.chan.fast_retransmits, 0u);
+  EXPECT_EQ(t.chan.down_links, 0u);
+}
+
+// The verdict counts RTO expiries only.  One message: dropped, repaired by
+// a fast retransmission that is dropped too, then two ack requests lost,
+// so the RTO fires.  Had the repair counted as a retry, that first expiry
+// would already exhaust a one-retry budget and declare a live peer down.
+TEST(Channel, RepairsDoNotCountTowardDownVerdict) {
+  ChannelConfig chan;
+  chan.reliable = true;
+  chan.max_retries = 1;
+  chan.fault.drop_ppm = 300000;
+  chan.fault.seed = 1;
+  // 0->1 draws: data, request, repair, request, request, RTO retransmit;
+  // 1->0: the one answer.
+  const bool want[] = {true, false, true, true, true, false};
+  const auto matches = [&] {
+    for (std::uint64_t n = 1; n <= 6; ++n)
+      if (drops(chan.fault, 0, 1, n) != want[n - 1]) return false;
+    return !drops(chan.fault, 1, 0, 1);
+  };
+  while (!matches()) ++chan.fault.seed;
+  Network net(2, NetworkModel{}, chan);
+  bool down = false;
+  net.set_node_down([&](NodeId) { down = true; });
+
+  net.send(make(0, 1, 1, 8));
+  std::optional<Message> got;
+  while (!down && !(got = net.try_recv(1))) {
+    net.try_recv(0);
+    breathe();
+  }
+  EXPECT_FALSE(down);
+  ASSERT_TRUE(got.has_value());
+  const auto t = net.traffic();
+  EXPECT_EQ(t.chan.fast_retransmits, 1u);
+  EXPECT_EQ(t.chan.ack_requests, 3u);
+  EXPECT_EQ(t.chan.retransmits, 2u);  // the repair + one RTO expiry
 }
 
 // Jitter delays arrivals within [0, jitter_ns), deterministically from the
