@@ -78,20 +78,18 @@ struct DsmConfig {
   // Migratory-data push on the lock-grant chain.  Each node tracks, per
   // lock, the *protected page set* — pages its compute thread faulted or
   // wrote while holding the lock — and when it forwards a kLockGrant it
-  // piggybacks the diffs of its closed interval for those pages (only the
-  // records the requester is missing anyway, so the diffs ride the message
-  // the protocol already sends).  The requester applies them during its
-  // acquire, before the critical section runs: the next holder's fault and
+  // piggybacks, per member page, the diffs of every delta record it holds
+  // (its own intervals and the chain history it relays — only records the
+  // requester is missing anyway, so the diffs ride the message the protocol
+  // already sends).  The requester applies them during its acquire, before
+  // the critical section runs: the next holder's fault and
   // kDiffRequest/kDiffReply round trip — the classic migratory-sharing
   // cost (TSP's branch-and-bound bound, Water's force merge) — disappear.
-  // `lock_push_bytes` budgets the pushed diff payload per grant (pages past
-  // the budget fall back to the pull path); when a page's diff would exceed
-  // the page itself, the whole page image is pushed instead (guarded: only
-  // when the granter's knowledge dominates the requester's, so the image
-  // can never clobber a concurrent writer's already-applied words).
-  // 0 disables the push entirely.  Pushed chunks ride the requester-side
-  // diff cache keyed (writer, seq) — idempotent against a concurrent pull —
-  // so the push is inert while the cache is off.  Default overridable via
+  // `lock_push_bytes` budgets the pushed diff payload per grant (a page
+  // whose diffs overflow the rest of the budget takes the pull path).  0
+  // disables the push entirely.  Pushed chunks ride the requester-side diff
+  // cache keyed (writer, seq) — idempotent against a concurrent pull — so
+  // the push is inert while the cache is off.  Default overridable via
   // TMK_LOCK_PUSH_BYTES.
   std::size_t lock_push_bytes = detail::env_size("TMK_LOCK_PUSH_BYTES", 0);
 

@@ -188,8 +188,9 @@ class Node {
   // kGcDepart (truncate + validate + reclaim own store to the ack) and
   // initiates a new exchange if the footprint still exceeds the ceiling.
   void gc_poll();
-  // Destroys own diff-store entries with seq <= ack_seq (compute thread;
-  // raises gc_reclaimed_seq_ only — gc_drop_seq_ stays barrier-owned).
+  // Destroys own diff-store entries with seq <= ack_seq — an exchange's ack,
+  // or the previous barrier floor (compute thread; raises gc_reclaimed_seq_
+  // only — gc_drop_seq_ stays barrier-owned).
   void gc_reclaim_store_to(std::uint32_t ack_seq);
   // Relay stock: relay_keep marks an entry of `page`'s diff cache (caller
   // holds e.mu) as stock and indexes it; relay_prune drops the stock the
@@ -290,15 +291,14 @@ class Node {
   // CSes decay out — and judges the pushes this acquire landed.
   void lock_push_begin_cs(std::uint32_t lock_id);
   void lock_push_end_cs(std::uint32_t lock_id);
-  // Granter side: appends the push section to a kLockGrant payload — diffs
-  // of the delta's records for the lock's member pages (own intervals from
-  // the diff store, relayed ones from the page's retained cache), budgeted
-  // by lock_push_bytes, with the whole-page-image fallback (guarded by
-  // requester-knowledge domination).  Runs on the compute thread (release
-  // with a pending requester) or the service thread (cached grant on
-  // kLockForward).
+  // Granter side: appends the push section to a kLockGrant payload — per
+  // member page of the lock named by the delta, every delta entry this node
+  // holds as diffs (own intervals from the diff store, relayed ones from
+  // the page's retained cache); a page whose held set outgrows the rest of
+  // lock_push_bytes takes the pull path.  Runs on the compute thread
+  // (release with a pending requester) or the service thread (cached grant
+  // on kLockForward).
   void append_lock_push(ByteWriter& w, std::uint32_t lock_id,
-                        const VectorTime& req_vt,
                         const std::vector<IntervalRecordPtr>& delta);
   // Requester side, inside lock_acquire/cond_wait on the compute thread:
   // lands the grant's push section before the critical section runs.
@@ -515,12 +515,6 @@ class Node {
   std::vector<PageIndex> gc_scan_pages_;
 
   // ---- consistency metadata (meta_mu_) ----
-  // Held across a whole merge_and_invalidate: the log merge and the page
-  // invalidations it implies.  A lock-push image snapshots the log's vector
-  // time as the claim of what its bytes contain, so it must never see a
-  // merged record whose page is still valid with the old bytes (taken
-  // before meta_mu_; see append_lock_push).
-  std::mutex merge_mu_;
   std::mutex meta_mu_;
   KnowledgeLog log_;
   std::uint32_t own_seq_ = 0;      // last closed interval

@@ -6,16 +6,15 @@
 //    epoch's diffs in one kUpdatePush per reader at barrier arrival; the
 //    readers land them at the departure;
 //  - the lock keying (lock push, push key = the lock id): each node tracks
-//    per-lock protected page sets and piggybacks their diffs — or a
-//    whole-page image — on the kLockGrant it forwards; the requester lands
-//    them inside its acquire.
+//    per-lock protected page sets and piggybacks every diff it holds for
+//    them — its own and the chain history it relays — on the kLockGrant it
+//    forwards; the requester lands them inside its acquire.
 // Everything after the bytes arrive is one code path: park (writer,
 // seq)-keyed in the page's diff cache -> cover -> apply in lamport order ->
 // arm on the probe cadence or validate -> judge at the key's judge point ->
 // deny the pusher (kPushDeny) -> demote with exponential re-admission
 // backoff (PushAdmission).
 #include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "common/bytes.h"
@@ -534,7 +533,6 @@ void Node::lock_push_end_cs(std::uint32_t lock_id) {
 }
 
 void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
-                            const VectorTime& req_vt,
                             const std::vector<IntervalRecordPtr>& delta) {
   const auto& cfg = rt_.config();
   if (!cfg.lock_push_enabled() || delta.empty()) {
@@ -549,9 +547,7 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
   // own intervals' diffs come from the diff store; relayed writers' diffs
   // come from this page's relay stock — the chunks the fault path keeps
   // inside critical sections and the push landing keeps for lock-protected
-  // pages, which routed kDiffRequests are answered from too.  A page the relay
-  // cannot fully cover falls back to the whole-page image, and failing
-  // that to a partial own-diff push or the plain pull path.
+  // pages, which routed kDiffRequests are answered from too.
   struct Cand {
     PageIndex page = 0;
     // Every delta record naming the page, as (writer, seq) in delta order.
@@ -581,35 +577,13 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
     return;
   }
 
-  // Whole-page images are sound only when our knowledge dominates the
-  // requester's: then everything it could already have applied to the page,
-  // our valid copy contains too, and the memcpy can never clobber a
-  // concurrent writer's applied words.  The snapshot vector time rides with
-  // each image so the requester can verify coverage of every notice it
-  // holds.  (Diff pushes need no such guard — they patch exactly the bytes
-  // the named intervals wrote, like any fetched diff.)  No merge may run
-  // from the snapshot until the last image is copied: a merge advances the
-  // vector time before it invalidates the pages its records name, and an
-  // image copied in between would claim intervals its bytes lack — the
-  // requester would drop those notices as covered and lose the writes for
-  // good.  (The service thread assembles grants from the ownership cache
-  // while the compute thread merges another grant's records.)
-  std::lock_guard<std::mutex> no_merge(merge_mu_);
-  bool dominates = true;
-  VectorTime grant_vt;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    grant_vt = log_.vt();
-    for (std::uint32_t i = 0; i < num_nodes_; ++i) {
-      if (req_vt[i] > grant_vt[i]) {
-        dominates = false;
-        break;
-      }
-    }
-  }
-
-  const std::size_t image_sz = kPageSize + 6 + 4 * num_nodes_;
-  ByteWriter pw;  // entries, counted as we go (npush is written first below)
+  // Each page ships every delta entry this node holds, as diffs — the same
+  // bytes a fetch would return, so the push needs no ordering guard of its
+  // own.  Entries the relay stock lost (evicted, or never seen) are left
+  // out: the requester's landing applies a fully covered page and parks a
+  // partly covered one, whose fault then fetches only the rest.  A page
+  // whose held set outgrows the remaining budget takes the pull path.
+  ByteWriter pw;  // pages, counted as we go (npush is written first below)
   std::uint32_t npush = 0;
   std::size_t budget = cfg.lock_push_bytes;
   for (const Cand& c : cands) {
@@ -623,69 +597,14 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
       if (wtr == id_ && e.twin_valid && e.twin.seq == seq)
         materialize_twin(c.page, e);
 
-    // Size the push: own intervals from the diff store, relayed ones from
-    // the page's retained cache.  Own store entries cannot be reclaimed
-    // underneath this grant (delta seqs are above the requester's vector
-    // time, which dominates every announced floor, and own-diff reclamation
-    // lags the floor by one reclamation point — the NOW_CHECK fails loudly
-    // if that invariant is ever broken); retained cache entries are stable
-    // under e.mu, which we hold until they are serialized.
-    std::size_t diff_sz = 0;
-    std::size_t own_sz = 0;  // the subset a partial push actually serializes
-    bool relay_covered = true;
-    std::size_t own = 0;
+    // Own store entries cannot be reclaimed underneath this grant (delta
+    // seqs are above the requester's vector time, which dominates every
+    // announced floor, and own-diff reclamation lags the floor by one
+    // reclamation point — the NOW_CHECK fails loudly if that invariant is
+    // ever broken); retained cache entries are stable under e.mu.
+    ByteWriter entries;
+    std::uint32_t n = 0;
     {
-      std::lock_guard<std::mutex> sl(store_mu_);
-      for (const auto& [wtr, seq] : c.entries) {
-        if (wtr == id_) {
-          auto it = diff_store_.find(diff_store_key(c.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "lock push sourced a reclaimed diff: page " << c.page
-              << " interval " << seq;
-          ++own;
-          std::size_t sz = 12;  // writer + seq + chunk count
-          for (const DiffBytes& d : it->second) sz += 4 + d.size();
-          diff_sz += sz;
-          own_sz += sz;
-        } else if (const auto* chunks = e.diff_cache.find(wtr, seq)) {
-          diff_sz += 12;
-          for (const DiffBytes& d : *chunks) diff_sz += 4 + d.size();
-        } else {
-          relay_covered = false;  // evicted (or never seen): no full relay
-        }
-      }
-    }
-
-    // Image fallback: the relay cannot cover the page (missing foreign
-    // chunks) or a dense rewrite made the chunked diffs outgrow the page.
-    std::vector<std::uint8_t> image;
-    if ((!relay_covered || diff_sz > kPageSize) && dominates &&
-        image_sz <= budget && e.state == PageState::kReadOnly) {
-      // kReadOnly only: a writable page is mid-interval on our own compute
-      // thread and copying it would race the writes byte-for-byte.
-      const std::uint8_t* mem = rt_.arena().page_ptr(id_, c.page);
-      image.assign(mem, mem + kPageSize);
-    }
-    const bool as_image = !image.empty();
-    const bool as_diffs = !as_image && relay_covered && diff_sz <= budget &&
-                          diff_sz <= kPageSize;
-    // Partial own-diff push: the requester still pulls the rest, but skips
-    // the round trip to *us* (its fault finds our chunks cached).  Only the
-    // own bytes are serialized, so only they are charged to the budget.
-    const bool as_partial =
-        !as_image && !as_diffs && own > 0 && own_sz <= budget;
-    if (!as_image && !as_diffs && !as_partial) continue;  // plain pull path
-
-    pw.u32(c.page);
-    pw.u8(as_image ? 1 : 0);
-    pw.u8(0);  // reserved: the probe cadence is counted where pushes land
-    if (as_image) {
-      KnowledgeLog::serialize_vt(pw, grant_vt);
-      pw.bytes(image.data(), image.size());
-      budget -= image_sz;
-    } else {
-      ByteWriter entries;
-      std::uint32_t n = 0;
       std::lock_guard<std::mutex> sl(store_mu_);
       for (const auto& [wtr, seq] : c.entries) {
         const std::vector<DiffBytes>* chunks = nullptr;
@@ -695,11 +614,9 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
               << "lock push sourced a reclaimed diff: page " << c.page
               << " interval " << seq;
           chunks = &it->second;
-        } else if (as_diffs) {
-          chunks = e.diff_cache.find(wtr, seq);
-          NOW_CHECK(chunks != nullptr);  // stable under e.mu since sizing
         } else {
-          continue;  // partial push: own intervals only
+          chunks = e.diff_cache.find(wtr, seq);
+          if (chunks == nullptr) continue;  // not held: the fault pulls it
         }
         entries.u32(wtr);
         entries.u32(seq);
@@ -707,10 +624,12 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
         for (const DiffBytes& d : *chunks) entries.bytes(d.data(), d.size());
         ++n;
       }
-      pw.u32(n);
-      pw.raw(entries.data().data(), entries.size());
-      budget -= as_diffs ? diff_sz : own_sz;
     }
+    if (n == 0 || entries.size() > budget) continue;  // plain pull path
+    pw.u32(c.page);
+    pw.u32(n);
+    pw.raw(entries.data().data(), entries.size());
+    budget -= entries.size();
     ++npush;
   }
   w.u32(npush);
@@ -729,45 +648,17 @@ void Node::lock_land_push(std::uint32_t lock_id, std::uint32_t granter,
   PushBatch b;
   for (std::uint32_t p = 0; p < npush; ++p) {
     const PageIndex page = r.u32();
-    const bool image = r.u8() == 1;
-    r.u8();  // reserved
-    if (!image) {
-      std::vector<PushedChunk> chunks(r.u32());
-      for (PushedChunk& c : chunks) {
-        c.writer = r.u32();
-        c.seq = r.u32();
-        c.chunks.resize(r.u32());
-        for (DiffBytes& d : c.chunks) {
-          const auto [ptr, n] = r.bytes_view();
-          d.assign(ptr, ptr + n);
-        }
+    std::vector<PushedChunk> chunks(r.u32());
+    for (PushedChunk& c : chunks) {
+      c.writer = r.u32();
+      c.seq = r.u32();
+      c.chunks.resize(r.u32());
+      for (DiffBytes& d : c.chunks) {
+        const auto [ptr, n] = r.bytes_view();
+        d.assign(ptr, ptr + n);
       }
-      push_land(lock_id, page, pushers, chunks, b);
-      continue;
     }
-
-    // Whole-page image: a pre-step feeding the same arm/validate tail.
-    const VectorTime img_vt = KnowledgeLog::deserialize_vt(r);
-    const auto [img, n] = r.bytes_view();
-    NOW_CHECK_EQ(n, kPageSize);
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-    // The granter's valid copy had every notice it knew applied, so the
-    // image covers exactly the notices at or below its snapshot vector
-    // time — including the relayed chain history of other writers.  A
-    // notice above it (a writer concurrent with the granter) cannot be
-    // ordered against the image: pull path instead.
-    const bool covered = std::all_of(
-        e.unapplied.begin(), e.unapplied.end(),
-        [&](const UnappliedNotice& un) { return un.seq <= img_vt[un.writer]; });
-    if (!covered) continue;
-    rt_.arena().protect_rw(id_, page);
-    std::memcpy(rt_.arena().page_ptr(id_, page), img, kPageSize);
-    b.patched += kPageSize;
-    ++b.applied;
-    e.unapplied.clear();
-    push_settle(lock_id, page, e, pushers);
+    push_land(lock_id, page, pushers, chunks, b);
   }
   push_finish(lock_id, b);
 }

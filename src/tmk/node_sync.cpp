@@ -245,9 +245,6 @@ void Node::gc_at_barrier(const VectorTime& floor) {
   // fork floor).
   const std::uint32_t prev_drop = gc_drop_seq_;
   gc_drop_seq_ = std::max(gc_drop_seq_, floor[id_]);
-  // An on-demand exchange may have reclaimed past prev_drop already (its ack
-  // proved the validation fetches drained); the bound never moves backwards.
-  gc_reclaimed_seq_ = std::max(gc_reclaimed_seq_, prev_drop);
 
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
@@ -272,27 +269,9 @@ void Node::gc_at_barrier(const VectorTime& floor) {
     gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
   }
 
-  if (prev_drop > 0) {
-    std::uint64_t bytes = 0;
-    std::size_t entries = 0;
-    std::lock_guard<std::mutex> lock(store_mu_);
-    for (auto it = diff_store_.begin(); it != diff_store_.end();) {
-      if (static_cast<std::uint32_t>(it->first) <= prev_drop) {
-        for (const DiffBytes& d : it->second) bytes += d.size();
-        ++entries;
-        it = diff_store_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (entries) {
-      diff_store_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-      stats_.gc_diff_bytes_reclaimed.fetch_add(bytes, std::memory_order_relaxed);
-      NOW_LOG(kDebug, "node %u GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
-              id_, entries, static_cast<unsigned long long>(bytes), prev_drop);
-    }
-  }
-
+  // An on-demand exchange may have reclaimed past prev_drop already (its ack
+  // proved the validation fetches drained); the bound never moves backwards.
+  gc_reclaim_store_to(prev_drop);
   relay_prune(floor);
 }
 
@@ -564,7 +543,7 @@ void Node::gc_reclaim_store_to(std::uint32_t ack_seq) {
   if (entries) {
     diff_store_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     stats_.gc_diff_bytes_reclaimed.fetch_add(bytes, std::memory_order_relaxed);
-    NOW_LOG(kDebug, "node %u on-demand GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
+    NOW_LOG(kDebug, "node %u GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
             id_, entries, static_cast<unsigned long long>(bytes), ack_seq);
   }
 }
@@ -867,7 +846,7 @@ void Node::grant_lock(std::uint32_t lock_id, std::uint32_t requester,
   w.u32(lock_id);
   KnowledgeLog::serialize_vt(w, gc_floor_snapshot());
   KnowledgeLog::serialize_records(w, delta);
-  append_lock_push(w, lock_id, vt, delta);
+  append_lock_push(w, lock_id, delta);
   sim::Message m;
   m.type = kLockGrant;
   m.dst = requester;

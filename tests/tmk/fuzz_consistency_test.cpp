@@ -323,6 +323,11 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   for (std::size_t prefetch : {std::size_t{0}, std::size_t{4}})
     for (bool gc : {false, true})
       matrix.push_back({prefetch, gc, 256, false, 0});
+  // The same tiny cache under the lock push: evicted relay stock makes
+  // grants push only part of a page's chain history, which the requester
+  // parks for its fault to complete.
+  for (bool gc : {false, true})
+    matrix.push_back({0, gc, 256, false, 16 * 1024});
   // Lossy-wire legs: each fault class alone at the issue's rates — drop 1%,
   // dup 0.5%, reorder 1%, delay jitter — then all four at once riding the
   // protocol combinations whose ordering assumptions a lossy wire attacks:

@@ -4,9 +4,10 @@
 // before the critical section runs — no trap, no fetch round trip.  These
 // tests pin promotion after stable handoffs, byte identity push vs pull,
 // demotion when the chain stops touching a page, the sender-budget fallback
-// to the pull path, the whole-page-image fallback, and the interplay with
-// barrier-GC floors (a pushed diff must never be sourced from a reclaimed
-// diff-store entry — enforced by a loud NOW_CHECK on the grant path).
+// to the pull path, a whole-page rewrite riding the push as diffs, and the
+// interplay with barrier-GC floors (a pushed diff must never be sourced from
+// a reclaimed diff-store entry — enforced by a loud NOW_CHECK on the grant
+// path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,10 +196,10 @@ TEST(LockPush, BudgetOverflowFallsBackToPull) {
   EXPECT_EQ(pull, tiny);
 }
 
-// A critical section that rewrites a whole page produces a diff bigger than
-// the page; the grant ships the page image instead, and the next holder
-// still skips the fetch.
-TEST(LockPush, WholePageImageFallback) {
+// A critical section that rewrites a whole page produces diffs about as big
+// as the page; they still ride the grant as diffs (the budget holds them),
+// and the next holder skips the fetch.
+TEST(LockPush, DenseRewriteRidesAsDiffs) {
   constexpr std::size_t kIters = 12;
   std::vector<std::uint64_t> pull, push;
   DsmStatsSnapshot s;
