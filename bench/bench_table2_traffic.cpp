@@ -25,32 +25,24 @@ int main(int argc, char** argv) {
   // records and diff bytes the DSM versions reclaimed at barriers, the fetch
   // round trips they skipped because GC pinned or a fault prefetched the
   // diffs locally, and the neighbor pages those faults batched.  The columns
-  // follow the runtime configuration — with the cache (and therefore
-  // prefetch) compiled off-path the counters cannot move, so their rows are
-  // omitted rather than printed as misleading zeros.  Barrier-free
-  // applications (TSP's lock-only phases) legitimately reclaim nothing.
+  // of optional protocol modes follow the runtime configuration — with a
+  // mode off its counters cannot move, so its rows are omitted rather than
+  // printed as misleading zeros.  Barrier-free applications (TSP's
+  // lock-only phases) legitimately reclaim nothing.
   const tmk::DsmConfig dsm = dsm_cfg(kNodes);
-  const bool cache_on = dsm.diff_cache_bytes_per_page > 0;
   const bool prefetch_on = dsm.prefetch_window() > 0;
   const bool update_on = dsm.update_enabled();
   const bool lock_push_on = dsm.lock_push_enabled();
   const bool ceiling_on = dsm.on_demand_gc_enabled();
-  std::vector<std::string> extra_head{"Application", "GcRec OpenMP", "GcRec Tmk",
-                                      "GcKB OpenMP", "GcKB Tmk"};
-  // Routed fetches and relay stock ride the cache too: a fault inside a
+  // Routed fetches and relay stock ride the diff cache: a fault inside a
   // critical section asks only the page's latest writer, which answers the
   // other writers' intervals from its relay stock (StockHit) or marks them
   // missing (StockMiss, fetched from their writers in a second round); GC
   // floors prune the stock they cover.
-  if (cache_on) {
-    extra_head.push_back("DCacheHit Tmk");
-    extra_head.push_back("KB saved Tmk");
-    extra_head.push_back("Routed Tmk");
-    extra_head.push_back("StockHit Tmk");
-    extra_head.push_back("StockMiss Tmk");
-    extra_head.push_back("RelayPrune Tmk");
-    extra_head.push_back("RelayKB Tmk");
-  }
+  std::vector<std::string> extra_head{
+      "Application",  "GcRec OpenMP",  "GcRec Tmk",  "GcKB OpenMP",
+      "GcKB Tmk",     "DCacheHit Tmk", "KB saved Tmk", "Routed Tmk",
+      "StockHit Tmk", "StockMiss Tmk", "RelayPrune Tmk", "RelayKB Tmk"};
   if (prefetch_on) {
     extra_head.push_back("PfBatched Tmk");
     extra_head.push_back("PfHit Tmk");
@@ -106,18 +98,14 @@ int main(int argc, char** argv) {
         name, Table::fmt(r.omp.dsm.gc_records_reclaimed),
         Table::fmt(r.tmk.dsm.gc_records_reclaimed),
         Table::fmt(static_cast<double>(r.omp.dsm.gc_diff_bytes_reclaimed) / 1024.0, 1),
-        Table::fmt(static_cast<double>(r.tmk.dsm.gc_diff_bytes_reclaimed) / 1024.0, 1)};
-    if (cache_on) {
-      row.push_back(Table::fmt(r.tmk.dsm.diff_cache_hits));
-      row.push_back(
-          Table::fmt(static_cast<double>(r.tmk.dsm.diff_cache_bytes_saved) / 1024.0, 1));
-      row.push_back(Table::fmt(r.tmk.dsm.diff_fetches_routed));
-      row.push_back(Table::fmt(r.tmk.dsm.diff_stock_served));
-      row.push_back(Table::fmt(r.tmk.dsm.diff_stock_misses));
-      row.push_back(Table::fmt(r.tmk.dsm.relay_chunks_pruned));
-      row.push_back(Table::fmt(
-          static_cast<double>(r.tmk.dsm.relay_bytes_pruned) / 1024.0, 1));
-    }
+        Table::fmt(static_cast<double>(r.tmk.dsm.gc_diff_bytes_reclaimed) / 1024.0, 1),
+        Table::fmt(r.tmk.dsm.diff_cache_hits),
+        Table::fmt(static_cast<double>(r.tmk.dsm.diff_cache_bytes_saved) / 1024.0, 1),
+        Table::fmt(r.tmk.dsm.diff_fetches_routed),
+        Table::fmt(r.tmk.dsm.diff_stock_served),
+        Table::fmt(r.tmk.dsm.diff_stock_misses),
+        Table::fmt(r.tmk.dsm.relay_chunks_pruned),
+        Table::fmt(static_cast<double>(r.tmk.dsm.relay_bytes_pruned) / 1024.0, 1)};
     if (prefetch_on) {
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_requests_batched));
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_hits));

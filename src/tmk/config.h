@@ -61,9 +61,8 @@ struct DsmConfig {
   // thread before the region body runs, and own diff-store entries are
   // reclaimed one reclamation point later exactly as at barriers.  This is
   // what lets OpenMP fork/join programs (regions end in kJoin, not a Tmk
-  // barrier) reclaim knowledge logs and diff stores at all.  Default
-  // overridable via TMK_GC_FORK_JOIN.
-  bool gc_fork_join = detail::env_flag("TMK_GC_FORK_JOIN", true);
+  // barrier) reclaim knowledge logs and diff stores at all.
+  bool gc_fork_join = true;
 
   // Piggyback applied GC floors on the lock chain: kLockAcquire carries the
   // requester's applied floor (the lock manager raises its sparse manager-log
@@ -71,9 +70,8 @@ struct DsmConfig {
   // paths), and kLockGrant carries the granter's (the requester raises its
   // own knowledge-log floor if it somehow lags — floors only *propagate*
   // here; they are established at barriers and forks, so own-diff
-  // reclamation bounds never move on the lock chain).  Default overridable
-  // via TMK_GC_LOCK_FLOORS.
-  bool gc_lock_floors = detail::env_flag("TMK_GC_LOCK_FLOORS", true);
+  // reclamation bounds never move on the lock chain).
+  bool gc_lock_floors = true;
 
   // Migratory-data push on the lock-grant chain.  Each node tracks, per
   // lock, the *protected page set* — pages its compute thread faulted or
@@ -88,9 +86,8 @@ struct DsmConfig {
   // `lock_push_bytes` budgets the pushed diff payload per grant (a page
   // whose diffs overflow the rest of the budget takes the pull path).  0
   // disables the push entirely.  Pushed chunks ride the requester-side diff
-  // cache keyed (writer, seq) — idempotent against a concurrent pull — so
-  // the push is inert while the cache is off.  Default overridable via
-  // TMK_LOCK_PUSH_BYTES.
+  // cache keyed (writer, seq), which keeps them idempotent against a
+  // concurrent pull.  Default overridable via TMK_LOCK_PUSH_BYTES.
   std::size_t lock_push_bytes = detail::env_size("TMK_LOCK_PUSH_BYTES", 0);
 
   // Consecutive critical sections of *this* holder that leave a protected
@@ -128,10 +125,9 @@ struct DsmConfig {
   // reader sends the writers a barrier-key kPushDeny and the page demotes
   // back to invalidate mode (irregular sharing — TSP, QSORT — stays on the
   // pull path).  Pushes ride the requester-side diff cache keyed by
-  // (writer, interval seq), so a racing pull-path fetch stays idempotent;
-  // update mode is therefore inert while the diff cache is disabled, and
-  // requires num_nodes <= 64 (copysets are bitmasks).  Default overridable
-  // via TMK_UPDATE_MODE.
+  // (writer, interval seq), so a racing pull-path fetch stays idempotent.
+  // Update mode requires num_nodes <= 64 (copysets are bitmasks).  Default
+  // overridable via TMK_UPDATE_MODE.
   bool update_mode = detail::env_flag("TMK_UPDATE_MODE", false);
 
   // Consecutive epochs a page's copyset must be stable before it is promoted
@@ -151,24 +147,21 @@ struct DsmConfig {
   // so a strided traversal (Sweep3D planes, FFT transposes) pays one message
   // per window instead of one per page.  Prefetched entries go through the
   // budgeted FIFO PageDiffCache::insert: droppable, and transparently
-  // refetched by the real fault if evicted.  0 disables prefetch; it is also
-  // inert while the diff cache is disabled (prefetched chunks would have
-  // nowhere to live).  Default overridable via TMK_PREFETCH_PAGES.
+  // refetched by the real fault if evicted.  0 disables prefetch.  Default
+  // overridable via TMK_PREFETCH_PAGES.
   std::size_t prefetch_pages = detail::env_size("TMK_PREFETCH_PAGES", 4);
 
   // Per-page byte budget for the requester-side diff cache (already-fetched
-  // diff chunks kept so a refault never re-requests them); 0 disables it.
-  // Barrier-time GC is its load-bearing consumer: the GC pass prefetches a
-  // page's still-unapplied old diffs into the cache (pinned, never evicted)
-  // so a post-GC fault is served locally after the writer reclaimed them.
-  // Once a page's pinned bytes exceed this budget — a page written every
-  // epoch but never read here — the GC pass applies the backlog and unpins
-  // it, so the cache stays bounded per page.  With the cache disabled, GC
-  // applies old diffs eagerly at every barrier instead (same bytes, but the
-  // page loses its lazy fault), and multi-page prefetch is inert.  Default
-  // overridable via TMK_DIFF_CACHE_BYTES.
-  std::size_t diff_cache_bytes_per_page =
-      detail::env_size("TMK_DIFF_CACHE_BYTES", 16 * 1024);
+  // diff chunks kept so a refault never re-requests them).  The cache is
+  // always on — prefetch, both push keyings, relay stock and GC pins all
+  // park chunks in it — so the budget must be > 0.  Barrier-time GC is its
+  // load-bearing consumer: the GC pass prefetches a page's still-unapplied
+  // old diffs into the cache (pinned, never evicted) so a post-GC fault is
+  // served locally after the writer reclaimed them.  Once a page's pinned
+  // bytes exceed this budget — a page written every epoch but never read
+  // here — the GC pass applies the backlog and unpins it, so the cache
+  // stays bounded per page.
+  std::size_t diff_cache_bytes_per_page = 16 * 1024;
 
   // On-demand GC under a memory ceiling (TreadMarks' threshold-triggered
   // exchange).  0 (the default) disables it: a long-running program reclaims
@@ -284,26 +277,15 @@ struct DsmConfig {
 
   std::size_t num_pages() const { return heap_bytes / kPageSize; }
 
-  // The prefetch window actually in effect: prefetch rides on the diff
-  // cache, so it is off whenever the cache is.
-  std::size_t prefetch_window() const {
-    return diff_cache_bytes_per_page > 0 ? prefetch_pages : 0;
-  }
+  // The multi-page prefetch window in effect.
+  std::size_t prefetch_window() const { return prefetch_pages; }
 
-  // Whether the adaptive update protocol is actually in effect: pushes park
-  // in the requester-side diff cache (idempotency vs the pull path), so the
-  // protocol is inert while the cache is off, and copyset bitmasks bound the
-  // node count.
-  bool update_enabled() const {
-    return update_mode && diff_cache_bytes_per_page > 0 && num_nodes <= 64;
-  }
+  // Whether the adaptive update protocol is actually in effect: copyset
+  // bitmasks bound the node count.
+  bool update_enabled() const { return update_mode && num_nodes <= 64; }
 
-  // Whether the migratory lock-grant push is actually in effect: pushed
-  // chunks park in the requester-side diff cache (idempotency vs the pull
-  // path), so the push is inert while the cache is off.
-  bool lock_push_enabled() const {
-    return lock_push_bytes > 0 && diff_cache_bytes_per_page > 0;
-  }
+  // Whether the migratory lock-grant push is actually in effect.
+  bool lock_push_enabled() const { return lock_push_bytes > 0; }
 
   // Whether the threshold-triggered on-demand GC exchange is in effect.
   bool on_demand_gc_enabled() const { return meta_ceiling_bytes > 0; }

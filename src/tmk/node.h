@@ -137,14 +137,17 @@ class Node {
   void invalidate_page(PageIndex page, PageEntry& entry);  // holds entry.mu
 
   // ---------- barrier-time GC (compute thread, on barrier departure) ----------
-  // Applies the manager's piggybacked minimal vector time: truncates the
-  // knowledge log and sent-caches to the floor, ensures every write notice at
-  // or below it has its diff locally (pinned in the page diff cache, or
-  // applied eagerly when the cache is disabled), and reclaims own diff-store
-  // entries from the previous epoch's floor (one barrier delayed, so
-  // in-flight validation fetches are always served).
+  // Applies the manager's piggybacked minimal vector time (gc_apply_floor)
+  // and reclaims own diff-store entries from the previous epoch's floor (one
+  // barrier delayed, so in-flight validation fetches are always served).
   void gc_at_barrier(const VectorTime& floor);
-  // The validation pass of gc_at_barrier: fetch + pin/apply old diffs.
+  // The body shared by gc_at_barrier and gc_raise_floor: truncates the
+  // knowledge log and sent-caches to the floor, raises the applied floor,
+  // ensures every write notice at or below it has its diff locally (pinned
+  // in the page diff cache; a page over its cache budget applies its pinned
+  // backlog), then raises the validated floor.
+  void gc_apply_floor(const VectorTime& floor);
+  // The validation pass of gc_apply_floor: fetch + pin old diffs.
   void gc_validate_pages(const VectorTime& floor);
   // Floor most recently applied by gc_at_barrier (piggybacked on messages
   // whose records merge into a peer's manager log, so the sparse manager log

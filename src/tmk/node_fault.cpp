@@ -112,7 +112,7 @@ void Node::handle_fault(void* addr) {
 
 void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
   const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
-  const std::size_t window = rt_.config().prefetch_window();
+  const std::size_t window = rt_.config().prefetch_pages;
   for (;;) {
     std::vector<UnappliedNotice> want;
     std::vector<UnappliedNotice> need;  // not already held in the diff cache
@@ -132,26 +132,21 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       // pinned by the barrier-GC validation pass (whose writers may have
       // reclaimed them since), or kept from an earlier fault — need no round
       // trip at all; only the compute thread mutates the cache, so the
-      // partition stays valid after the lock drops.  Skipped entirely when
-      // the cache is disabled so the hot path pays nothing for it.
-      if (cache_budget > 0) {
-        for (const auto& n : want) {
-          if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
-            ++cache_hits;
-            if (ent->prefetched) ++pf_hits;
-            // Reply bytes this hit avoids: the per-interval seq + chunk-count
-            // header plus each chunk's length prefix and payload.  (A fully
-            // suppressed request message saves more still; not counted.)
-            cache_bytes += 8;
-            for (const DiffBytes& c : ent->chunks) cache_bytes += 4 + c.size();
-          } else {
-            need.push_back(n);
-          }
+      // partition stays valid after the lock drops.
+      for (const auto& n : want) {
+        if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
+          ++cache_hits;
+          if (ent->prefetched) ++pf_hits;
+          // Reply bytes this hit avoids: the per-interval seq + chunk-count
+          // header plus each chunk's length prefix and payload.  (A fully
+          // suppressed request message saves more still; not counted.)
+          cache_bytes += 8;
+          for (const DiffBytes& c : ent->chunks) cache_bytes += 4 + c.size();
+        } else {
+          need.push_back(n);
         }
       }
     }
-    // With the cache off, everything in `want` must be fetched.
-    const std::vector<UnappliedNotice>& to_fetch = cache_budget > 0 ? need : want;
     if (cache_hits > 0) {
       stats_.diff_cache_hits.fetch_add(cache_hits, std::memory_order_relaxed);
       stats_.diff_cache_bytes_saved.fetch_add(cache_bytes,
@@ -165,24 +160,23 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // iteration (zero-copy apply: the only copy left is the memcpy of the
     // patched ranges themselves).
     std::map<std::uint32_t, std::vector<std::uint32_t>> by_writer;
-    for (const auto& n : to_fetch) by_writer[n.writer].push_back(n.seq);
+    for (const auto& n : need) by_writer[n.writer].push_back(n.seq);
     std::vector<DiffWant> wants;
     // Routed fetch (TreadMarks' dominated-writer rule): inside a critical
     // section the page is usually migrating along the lock chain, and the
     // writer of the latest wanted interval applied — and kept as relay
     // stock — every earlier one before writing.  Ask only it, naming every
     // wanted interval; whatever it no longer holds comes back missing and is
-    // fetched from its writer below.  Without a diff cache there is no
-    // stock anywhere, so routing stays off.
-    const bool in_cs = !held_locks_.empty() && cache_budget > 0;
+    // fetched from its writer below.
+    const bool in_cs = !held_locks_.empty();
     const bool routed = in_cs && by_writer.size() > 1;
     if (routed) {
       const UnappliedNotice& latest =
-          *std::max_element(to_fetch.begin(), to_fetch.end(), applies_before);
+          *std::max_element(need.begin(), need.end(), applies_before);
       DiffWant dw{page, latest.writer, {}, {}};
-      dw.seqs.reserve(to_fetch.size());
-      dw.authors.reserve(to_fetch.size());
-      for (const auto& n : to_fetch) {
+      dw.seqs.reserve(need.size());
+      dw.authors.reserve(need.size());
+      for (const auto& n : need) {
         dw.seqs.push_back(n.seq);
         dw.authors.push_back(n.writer);
       }

@@ -245,30 +245,7 @@ void Node::gc_at_barrier(const VectorTime& floor) {
   // fork floor).
   const std::uint32_t prev_drop = gc_drop_seq_;
   gc_drop_seq_ = std::max(gc_drop_seq_, floor[id_]);
-
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    const std::size_t dropped = log_.gc_to(floor);
-    if (dropped)
-      stats_.gc_records_reclaimed.fetch_add(dropped, std::memory_order_relaxed);
-    // Every node already knows the records below the floor, so they must
-    // never ride a delta again: raise the sent-caches so delta_since never
-    // reaches into the reclaimed prefix.
-    for (std::uint32_t p = 0; p < num_nodes_; ++p) {
-      sent_node_vt_[p] = vt_max(std::move(sent_node_vt_[p]), floor);
-      sent_mgr_vt_[p] = vt_max(std::move(sent_mgr_vt_[p]), floor);
-    }
-    gc_floor_applied_ = vt_max(std::move(gc_floor_applied_), floor);
-  }
-
-  gc_validate_pages(floor);
-  {
-    // Every notice at or below the floor is now resolved (pinned or applied):
-    // the exchange's ack fold may release writers' diff sources against it.
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
-  }
-
+  gc_apply_floor(floor);
   // An on-demand exchange may have reclaimed past prev_drop already (its ack
   // proved the validation fetches drained); the bound never moves backwards.
   gc_reclaim_store_to(prev_drop);
@@ -280,11 +257,12 @@ void Node::gc_raise_floor(const VectorTime& floor) {
   // at global sync points (barriers, forks) that this node also attends, so
   // a propagated floor almost never advances past the applied one and this
   // returns at the compare.  When it does advance (defensive: a config mix
-  // where this node skipped a establishment point), the knowledge log and
-  // sent-caches are raised and pages are validated — but the own-diff
-  // reclamation bounds (gc_drop_seq_ / gc_reclaimed_seq_) are NOT moved:
-  // advancing them requires proof that every peer's validation fetches have
-  // drained, which only the global alignment of a barrier or fork provides.
+  // where this node skipped a establishment point), the floor is applied —
+  // but the own-diff reclamation bounds (gc_drop_seq_ / gc_reclaimed_seq_)
+  // are NOT moved: advancing them requires proof that every peer's
+  // validation fetches have drained, which only the global alignment of a
+  // barrier or fork provides.  Only this compute thread writes the applied
+  // floor, so the compare stays valid after the lock drops.
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     bool advances = false;
@@ -301,9 +279,19 @@ void Node::gc_raise_floor(const VectorTime& floor) {
       gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
       return;
     }
+  }
+  gc_apply_floor(floor);
+}
+
+void Node::gc_apply_floor(const VectorTime& floor) {
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
     const std::size_t dropped = log_.gc_to(floor);
     if (dropped)
       stats_.gc_records_reclaimed.fetch_add(dropped, std::memory_order_relaxed);
+    // Every node already knows the records below the floor, so they must
+    // never ride a delta again: raise the sent-caches so delta_since never
+    // reaches into the reclaimed prefix.
     for (std::uint32_t p = 0; p < num_nodes_; ++p) {
       sent_node_vt_[p] = vt_max(std::move(sent_node_vt_[p]), floor);
       sent_mgr_vt_[p] = vt_max(std::move(sent_mgr_vt_[p]), floor);
@@ -312,14 +300,14 @@ void Node::gc_raise_floor(const VectorTime& floor) {
   }
   gc_validate_pages(floor);
   {
+    // Every notice at or below the floor is now resolved (pinned or applied):
+    // the exchange's ack fold may release writers' diff sources against it.
     std::lock_guard<std::mutex> lock(meta_mu_);
     gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
   }
 }
 
 void Node::gc_validate_pages(const VectorTime& floor) {
-  const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
-
   // Scan the pages merge_and_invalidate flagged as carrying notices (not the
   // whole heap), collecting the write notices at or below the floor whose
   // diffs are not already held locally.  Pages still carrying notices are
@@ -358,7 +346,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
       // prefetch window — promoted to a pin in place, because its writer is
       // about to reclaim the source copy and eviction would lose the only
       // survivor.
-      if (cache_budget > 0 && e.diff_cache.pin_existing(n.writer, n.seq)) continue;
+      if (e.diff_cache.pin_existing(n.writer, n.seq)) continue;
       w.fetch[n.writer].push_back(n.seq);
     }
     if (!w.old.empty()) work.push_back(std::move(w));
@@ -378,36 +366,34 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<sim::Message> replies;
   auto got = fetch_diffs(wants, replies, /*for_gc=*/true);
 
-  // Stash or apply.  With the diff cache enabled the page stays invalid and
-  // lazy — the fetched chunks are pinned locally and the next fault applies
-  // them (the cache's first real hits) — until the page's pinned bytes
-  // exceed the budget, at which point the backlog is applied and unpinned
-  // right here, so a page nobody ever reads cannot accumulate pins forever.
-  // With the cache disabled, the old diffs are applied immediately.  Either
-  // way old notices lamport-precede anything learned after the barrier
-  // (their writers knew every reclaimed record when they created them), so
-  // applying the old prefix early is byte-identical to a later full apply.
+  // Stash, and apply only over budget.  The page stays invalid and lazy —
+  // the fetched chunks are pinned locally and the next fault applies them
+  // (the cache's first real hits) — until the page's pinned bytes exceed the
+  // budget, at which point the backlog is applied and unpinned right here,
+  // so a page nobody ever reads cannot accumulate pins forever.  Old notices
+  // lamport-precede anything learned after the barrier (their writers knew
+  // every reclaimed record when they created them), so applying the old
+  // prefix early is byte-identical to a later full apply.
+  const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
   for (PageWork& w : work) {
     PageEntry& e = pages_[w.page];
     std::lock_guard<std::mutex> lock(e.mu);
     NOW_CHECK(e.state == PageState::kInvalid)
         << "page " << w.page << " has unapplied notices but is not invalid";
-    if (cache_budget > 0) {
-      for (const auto& [writer, seqs] : w.fetch) {
-        for (std::uint32_t seq : seqs) {
-          auto it = got.find({w.page, writer, seq});
-          NOW_CHECK(it != got.end())
-              << "writer " << writer << " had no diff for page " << w.page
-              << " interval " << seq;
-          std::vector<DiffBytes> owned;
-          owned.reserve(it->second.size());
-          for (const DiffChunkView& v : it->second)
-            owned.emplace_back(v.first, v.first + v.second);
-          e.diff_cache.insert_gc(writer, seq, std::move(owned));
-        }
+    for (const auto& [writer, seqs] : w.fetch) {
+      for (std::uint32_t seq : seqs) {
+        auto it = got.find({w.page, writer, seq});
+        NOW_CHECK(it != got.end())
+            << "writer " << writer << " had no diff for page " << w.page
+            << " interval " << seq;
+        std::vector<DiffBytes> owned;
+        owned.reserve(it->second.size());
+        for (const DiffChunkView& v : it->second)
+          owned.emplace_back(v.first, v.first + v.second);
+        e.diff_cache.insert_gc(writer, seq, std::move(owned));
       }
-      if (e.diff_cache.bytes() <= cache_budget) continue;  // stay lazy
     }
+    if (e.diff_cache.bytes() <= cache_budget) continue;  // stay lazy
 
     std::stable_sort(w.old.begin(), w.old.end(), applies_before);
     rt_.arena().protect_rw(id_, w.page);
@@ -415,27 +401,16 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     std::size_t patched = 0;
     std::uint64_t applied = 0;
     for (const UnappliedNotice& n : w.old) {
-      if (cache_budget > 0) {
-        // Everything old is pinned by now (this pass or an earlier one).
-        const auto* cached = e.diff_cache.find(n.writer, n.seq);
-        NOW_CHECK(cached != nullptr)
-            << "writer " << n.writer << " had no pinned diff for page "
-            << w.page << " interval " << n.seq;
-        for (const DiffBytes& d : *cached) {
-          patched += diff_apply(mem, kPageSize, d);
-          ++applied;
-        }
-        e.diff_cache.erase(n.writer, n.seq);
-      } else {
-        auto it = got.find({w.page, n.writer, n.seq});
-        NOW_CHECK(it != got.end())
-            << "writer " << n.writer << " had no diff for page " << w.page
-            << " interval " << n.seq;
-        for (const DiffChunkView& d : it->second) {
-          patched += diff_apply(mem, kPageSize, d.first, d.second);
-          ++applied;
-        }
+      // Everything old is pinned by now (this pass or an earlier one).
+      const auto* cached = e.diff_cache.find(n.writer, n.seq);
+      NOW_CHECK(cached != nullptr)
+          << "writer " << n.writer << " had no pinned diff for page "
+          << w.page << " interval " << n.seq;
+      for (const DiffBytes& d : *cached) {
+        patched += diff_apply(mem, kPageSize, d);
+        ++applied;
       }
+      e.diff_cache.erase(n.writer, n.seq);
     }
     e.unapplied.erase(
         std::remove_if(e.unapplied.begin(), e.unapplied.end(),

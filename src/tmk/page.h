@@ -42,7 +42,7 @@ struct UnappliedNotice {
 // The linear extension of happens-before in which diffs are applied: lamport
 // order, writer id as the tie-break (ties are concurrent intervals whose
 // diffs touch disjoint bytes in race-free programs).  Both the fault path
-// and the barrier-GC eager-apply path sort by exactly this predicate — a
+// and the barrier-GC over-budget apply sort by exactly this predicate — a
 // divergence would change page bytes, so there is only one copy.
 inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
   if (a.lamport != b.lamport) return a.lamport < b.lamport;

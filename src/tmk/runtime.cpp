@@ -15,6 +15,8 @@ DsmRuntime::DsmRuntime(DsmConfig cfg)
       topo_(cfg),
       arena_(cfg.num_nodes, cfg.heap_bytes),
       net_(cfg.num_nodes, cfg.net, cfg.channel()) {
+  NOW_CHECK_GT(cfg_.diff_cache_bytes_per_page, 0u)
+      << "diff_cache_bytes_per_page must be > 0: the diff cache is always on";
   nodes_.reserve(cfg_.num_nodes);
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i)
     nodes_.push_back(std::make_unique<Node>(*this, i));

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "tmk/config.h"
+#include "tmk/runtime.h"
 
 namespace now::tmk {
 namespace {
@@ -53,8 +54,9 @@ TEST(ConfigEnv, FlagParsesZeroAndNonzero) {
   EXPECT_FALSE(detail::env_flag(kVar, false));
 }
 
-// The lock-push and lock-chain/fork GC knobs ride the same hardened parser;
-// their env overrides must land in a freshly constructed DsmConfig.
+// The lock-push knob rides the same hardened parser; its env override must
+// land in a freshly constructed DsmConfig.  The lock-chain/fork GC fields
+// are plain defaults (no env reader).
 TEST(ConfigEnv, LockPushKnobsOverrideDefaults) {
   EXPECT_EQ(DsmConfig{}.lock_push_bytes, 0u);  // default: push off
   EXPECT_TRUE(DsmConfig{}.gc_fork_join);
@@ -63,14 +65,6 @@ TEST(ConfigEnv, LockPushKnobsOverrideDefaults) {
     ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
     EXPECT_EQ(DsmConfig{}.lock_push_bytes, 12288u);
     EXPECT_TRUE(DsmConfig{}.lock_push_enabled());
-  }
-  {
-    ScopedEnv env("TMK_GC_FORK_JOIN", "0");
-    EXPECT_FALSE(DsmConfig{}.gc_fork_join);
-  }
-  {
-    ScopedEnv env("TMK_GC_LOCK_FLOORS", "0");
-    EXPECT_FALSE(DsmConfig{}.gc_lock_floors);
   }
 }
 
@@ -100,16 +94,23 @@ TEST(ConfigEnvDeathTest, RejectsMalformedSyncFabricKnobs) {
   }
 }
 
-// An explicit field assignment still beats the env default, and the push
-// stays gated on the diff cache.
-TEST(ConfigEnv, LockPushExplicitAssignmentAndCacheGate) {
+// An explicit field assignment still beats the env default.
+TEST(ConfigEnv, LockPushExplicitAssignmentBeatsEnv) {
   ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
   DsmConfig c;
   c.lock_push_bytes = 0;
   EXPECT_FALSE(c.lock_push_enabled());
-  DsmConfig d;
-  d.diff_cache_bytes_per_page = 0;
-  EXPECT_FALSE(d.lock_push_enabled());  // pushes would have nowhere to park
+}
+
+// The diff cache is always on (prefetch, pushes, relay stock and GC pins
+// all park chunks in it), so a zero per-page budget is a configuration
+// error, rejected when the runtime is built.
+TEST(ConfigEnvDeathTest, RejectsZeroDiffCacheBudget) {
+  DsmConfig c;
+  c.num_nodes = 2;
+  c.heap_bytes = 16 * kPageSize;
+  c.diff_cache_bytes_per_page = 0;
+  EXPECT_DEATH({ DsmRuntime rt(c); }, "diff_cache_bytes_per_page must be > 0");
 }
 
 // The on-demand GC ceiling: off by default (unbounded metadata, matching
@@ -269,11 +270,7 @@ TEST(ConfigEnvDeathTest, RejectsMalformedLockPushKnobs) {
     EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_PREFETCH_PAGES");
   }
   {
-    ScopedEnv env("TMK_GC_LOCK_FLOORS", "yes");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_GC_LOCK_FLOORS");
-  }
-  {
-    ScopedEnv env("TMK_GC_FORK_JOIN", "99999999999999999999999999");
+    ScopedEnv env("TMK_LOCK_PUSH_BYTES", "99999999999999999999999999");
     EXPECT_DEATH({ DsmConfig c; (void)c; }, "overflows");
   }
 }

@@ -2,9 +2,9 @@
 // N nodes through random mixes of data-race-free reads, writes, barriers and
 // lock-protected read-modify-writes over a shared region, and the final
 // region contents are compared byte-for-byte across the full protocol config
-// matrix {update on/off} x {prefetch 0/4} x {gc_at_barriers on/off} x
-// {diff cache on/off}, plus wide-prefetch (16), lock-push and tiny-cache
-// (relay stock evicted, routed faults missing) legs.
+// matrix {update on/off} x {prefetch 0/4} x {gc_at_barriers on/off}, plus
+// wide-prefetch (16), lock-push and tiny-cache (relay stock evicted, routed
+// faults missing, GC backlogs applied over budget) legs.
 // Every run is also checked against a sequentially replayed model, so "all
 // configs equally wrong" cannot slip through.  The seed is printed on
 // failure; replay a specific one with
@@ -275,17 +275,14 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   const std::size_t epochs = env_size("NOW_FUZZ_EPOCHS", 4);
 
   // Full cross at prefetch {0, 4}; the wide 16-page window re-tests the
-  // prefetch batching against each GC mode (cache-off legs would be
-  // redundant: prefetch is inert without the cache), so it rides as four
-  // extra legs instead of doubling the whole matrix.  Lock push likewise
-  // needs the cache, so its legs ride the cache-on cross of
+  // prefetch batching against each GC mode, so it rides as four extra legs
+  // instead of doubling the whole matrix.  Lock push rides the cross of
   // {prefetch 0/4} x {gc on/off} plus two update-mode legs.
   std::vector<FuzzConfig> matrix;
   for (bool update : {false, true})
     for (std::size_t prefetch : {std::size_t{0}, std::size_t{4}})
       for (bool gc : {false, true})
-        for (std::size_t cache : {std::size_t{0}, std::size_t{16 * 1024}})
-          matrix.push_back({prefetch, gc, cache, update, 0});
+        matrix.push_back({prefetch, gc, 16 * 1024, update, 0});
   for (bool update : {false, true})
     for (bool gc : {false, true})
       matrix.push_back({16, gc, 16 * 1024, update, 0});
@@ -303,19 +300,20 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   for (std::uint32_t arity : {1u, 2u})
     for (bool gc : {false, true})
       matrix.push_back({4, gc, 16 * 1024, false, 0, arity, true});
-  matrix.push_back({0, true, 0, false, 0, 2, true});  // cache off + tree
+  matrix.push_back({0, true, 256, false, 0, 2, true});  // tiny cache + tree
   matrix.push_back({4, true, 16 * 1024, true, 0, 2, true});
   matrix.push_back({4, true, 16 * 1024, false, 16 * 1024, 1, true});
   // On-demand ceiling legs: a tight 4KB ceiling forces GC exchanges in the
   // middle of the schedule (including mid lock-only stretches), alone, on
   // top of barrier GC, under the migratory lock push (whose relay chunks
-  // the exchange floor prunes), across the whole stack at once, and with
-  // the diff cache off (exchange floors with nowhere to pin prefetches).
+  // the exchange floor prunes), across the whole stack at once, and with a
+  // 256-byte cache (exchange floors whose pinned backlogs overflow the
+  // budget and are applied on the spot).
   matrix.push_back({0, false, 16 * 1024, false, 0, 0, false, 4096});
   matrix.push_back({0, true, 16 * 1024, false, 0, 0, false, 4096});
   matrix.push_back({0, false, 16 * 1024, false, 16 * 1024, 0, false, 4096});
   matrix.push_back({4, true, 16 * 1024, true, 0, 2, true, 4096});
-  matrix.push_back({0, false, 0, false, 0, 0, false, 4096});
+  matrix.push_back({0, false, 256, false, 0, 0, false, 4096});
   // Tiny-cache legs: a 256-byte page cache evicts relay stock almost as soon
   // as it lands, so routed faults inside the schedule's critical sections
   // keep taking the second round (stock misses), and prefetched entries are

@@ -384,19 +384,5 @@ TEST(LockPush, CeilingPrunesRelayChunksWithoutBreakingThePush) {
   EXPECT_LE(capped_max, kCeiling + kCeiling);
 }
 
-// The push parks chunks in the requester-side diff cache, so it is inert —
-// zero pushes, plain pull traffic — while the cache is disabled.
-TEST(LockPush, InertWithoutDiffCache) {
-  constexpr std::size_t kIters = 8;
-  auto c = cfg(3, 16 * 1024);
-  c.diff_cache_bytes_per_page = 0;
-  ASSERT_FALSE(c.lock_push_enabled());
-  DsmRuntime rt(c);
-  rt.run_spmd([&](Tmk& tmk) { bound_loop(tmk, kIters, 4); });
-  const auto s = rt.total_stats();
-  EXPECT_EQ(s.lock_pushes_sent, 0u);
-  EXPECT_EQ(s.lock_push_hits, 0u);
-}
-
 }  // namespace
 }  // namespace now::tmk

@@ -6,7 +6,7 @@
 //    messages with prefetch on, with byte-identical final contents;
 //  - the counters: prefetch_requests_batched / prefetch_pages_filled /
 //    prefetch_hits move exactly when prefetch serves a fault, and stay zero
-//    with the window (or the cache it rides on) disabled;
+//    with the window disabled;
 //  - writer scoping: only writers the fault already contacts are prefetched
 //    from — a neighbor written by somebody else costs no extra message.
 // (Budget eviction + transparent refetch lives in tmk_diff_cache_test; the
@@ -22,14 +22,12 @@
 namespace now::tmk {
 namespace {
 
-DsmConfig cfg(std::uint32_t nodes, std::size_t prefetch,
-              std::size_t cache_bytes = 16 * 1024, bool gc = false) {
+DsmConfig cfg(std::uint32_t nodes, std::size_t prefetch) {
   DsmConfig c;
   c.num_nodes = nodes;
   c.heap_bytes = 4 << 20;
   c.prefetch_pages = prefetch;
-  c.diff_cache_bytes_per_page = cache_bytes;
-  c.gc_at_barriers = gc;
+  c.gc_at_barriers = false;
   c.time.cpu_scale = 0.0;
   return c;
 }
@@ -94,27 +92,6 @@ TEST(Prefetch, StridedSweepHalvesDiffRequestMessages) {
   EXPECT_GE(on.stats.prefetch_hits, kSweepPages / 2);
   EXPECT_EQ(on.stats.prefetch_hits, on.stats.diff_cache_hits);
   EXPECT_GT(on.stats.diff_cache_bytes_saved, 0u);
-}
-
-TEST(Prefetch, DisabledWhileDiffCacheIsOff) {
-  // prefetch_pages > 0 but no cache to park chunks in: the window must be
-  // inert — same message count as prefetch off, no counters moving.
-  DsmRuntime rt(cfg(2, /*prefetch=*/4, /*cache_bytes=*/0));
-  rt.run_spmd([](Tmk& tmk) {
-    gptr<std::uint64_t> base(kPageSize);
-    if (tmk.id() == 0)
-      for (std::size_t pg = 0; pg < 8; ++pg) base[pg * kWordsPerPage] = pg + 1;
-    tmk.barrier();
-    if (tmk.id() == 1)
-      for (std::size_t pg = 0; pg < 8; ++pg)
-        EXPECT_EQ(base[pg * kWordsPerPage], pg + 1);
-    tmk.barrier();
-  });
-  const auto s = rt.total_stats();
-  EXPECT_EQ(s.prefetch_requests_batched, 0u);
-  EXPECT_EQ(s.prefetch_pages_filled, 0u);
-  EXPECT_EQ(s.prefetch_hits, 0u);
-  EXPECT_EQ(rt.traffic().messages_by_type[kDiffRequest], 8u);
 }
 
 TEST(Prefetch, OnlyWritersAlreadyContactedAreBatched) {

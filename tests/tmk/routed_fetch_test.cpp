@@ -7,8 +7,8 @@
 // pin
 //  - the win: on a steady rotating lock chain every fault inside the
 //    critical section costs exactly one kDiffRequest;
-//  - byte identity with the cache disabled (no stock, routing inert), and
-//    with a cache so small the stock is evicted and the second round fires;
+//  - byte identity with a cache so small the stock is evicted and the
+//    second round fires;
 //  - the scope: a multi-writer fault outside any critical section keeps its
 //    per-writer requests;
 //  - the miss path for concurrent writers whose lamport stamps tie.
@@ -38,6 +38,10 @@ DsmConfig cfg(std::size_t cache_bytes) {
   // Message counts per fault are perfect-wire properties.
   c.net_fault = {};
   c.net_reliable = false;
+  // Modulo manager placement: with hashed managers one writer's lock grant
+  // can already carry the other's interval, so the two writers of the
+  // lamport-tie test are no longer concurrent and the stock serves both.
+  c.shard_managers = false;
   return c;
 }
 
@@ -121,27 +125,13 @@ TEST(RoutedFetch, SteadyChainFaultSendsOneRequest) {
   EXPECT_EQ(out.contents, expected_contents());
 }
 
-TEST(RoutedFetch, ByteIdenticalToNoCacheRun) {
-  const ChainOutcome routed = run_chain(16 * 1024);
-  const ChainOutcome plain = run_chain(0);
-  // No cache, no stock: routing stays off and every writer is asked.
-  EXPECT_EQ(plain.stats.diff_fetches_routed, 0u);
-  EXPECT_EQ(plain.stats.diff_stock_served, 0u);
-  EXPECT_GT(routed.stats.diff_fetches_routed, 0u);
-  EXPECT_LT(routed.stats.diff_fetches, plain.stats.diff_fetches);
-  EXPECT_EQ(routed.contents, plain.contents);
-  EXPECT_EQ(plain.contents, expected_contents());
-}
-
 TEST(RoutedFetch, EvictedStockTakesTheSecondRound) {
   // Each interval's diff is one 4 + 128-byte chunk: a 256-byte page cache
   // holds one of them, so the routed writer has lost most of its stock.
   const ChainOutcome tiny = run_chain(256);
-  const ChainOutcome plain = run_chain(0);
   EXPECT_GT(tiny.stats.diff_fetches_routed, 0u);
   EXPECT_GT(tiny.stats.diff_stock_misses, 0u);
   // A miss costs a direct fetch, never a lost interval.
-  EXPECT_EQ(tiny.contents, plain.contents);
   EXPECT_EQ(tiny.contents, expected_contents());
 }
 

@@ -231,20 +231,5 @@ TEST(UpdateProtocol, BudgetRejectedPushesDemote) {
   EXPECT_EQ(s.update_push_hits, 0u);
 }
 
-// Update mode is inert without the diff cache (pushes would have nowhere to
-// park): no pushes, identical traffic to plain invalidate.
-TEST(UpdateProtocol, InertWithoutDiffCache) {
-  constexpr std::size_t kPages = 4, kEpochs = 6;
-  auto c = cfg(2, true);
-  c.diff_cache_bytes_per_page = 0;
-  ASSERT_FALSE(c.update_enabled());
-  DsmRuntime rt(c);
-  rt.run_spmd([&](Tmk& tmk) { producer_consumer(tmk, kPages, kEpochs, kEpochs); });
-  const auto s = rt.total_stats();
-  EXPECT_EQ(s.update_pushes_sent, 0u);
-  EXPECT_EQ(s.update_push_hits, 0u);
-  EXPECT_EQ(rt.traffic().messages_by_type[kUpdatePush], 0u);
-}
-
 }  // namespace
 }  // namespace now::tmk
