@@ -24,6 +24,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench_common.h"
 #include "tmk/tmk.h"
 
 namespace {
@@ -77,18 +78,8 @@ LegResult run(const Leg& leg) {
   c.num_nodes = kNodes;
   c.heap_bytes = 4 << 20;
   c.time.cpu_scale = 0.0;
-  c.prefetch_pages = 4;
-  c.gc_at_barriers = true;
-  c.gc_fork_join = true;
-  c.gc_lock_floors = true;
-  c.lock_push_bytes = 0;
-  c.update_mode = false;
-  c.diff_cache_bytes_per_page = 16 * 1024;
-  c.barrier_tree_arity = 0;
-  c.shard_managers = false;
-  c.meta_ceiling_bytes = 0;
-  // Explicit assignment overrides any TMK_NET_* env defaults: each leg
-  // measures exactly the wire it names.
+  // Every other knob keeps its default (main cleared the TMK_* env): each
+  // leg measures exactly the wire it names.
   c.net_fault = leg.fault;
   c.net_reliable = leg.reliable;
 
@@ -176,6 +167,7 @@ int chaos_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  now::bench::clear_tmk_env();
   for (int i = 1; i < argc; ++i)
     if (!std::strcmp(argv[i], "--json")) return chaos_json();
 

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench_common.h"
 #include "tmk/tmk.h"
 
 namespace {
@@ -59,11 +60,8 @@ LegResult run(const Leg& leg) {
   c.num_nodes = kNodes;
   c.heap_bytes = 4 << 20;
   c.time.cpu_scale = 0.0;
-  // Explicit assignment overrides any TMK_* env defaults: each leg measures
-  // exactly the configuration it names.
-  c.net_fault = {};
-  c.net_reliable = false;
-  c.meta_ceiling_bytes = 0;
+  // Every other knob keeps its default (main cleared the TMK_* env): each
+  // leg measures exactly the configuration it names.
   c.ckpt_every = leg.ckpt_every;
   c.net_crash_node = leg.crash_node;
   c.net_crash_at = leg.crash_at;
@@ -151,6 +149,7 @@ int crash_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  now::bench::clear_tmk_env();
   for (int i = 1; i < argc; ++i)
     if (!std::strcmp(argv[i], "--json")) return crash_json();
 

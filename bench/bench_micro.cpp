@@ -256,6 +256,7 @@ SweepResult strided_sweep(std::size_t prefetch_pages, std::size_t pages) {
 int main(int argc, char** argv) {
   using namespace now;
   using namespace now::bench;
+  clear_tmk_env();
 
   bool json = false;
   for (int i = 1; i < argc; ++i)

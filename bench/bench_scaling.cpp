@@ -103,6 +103,7 @@ int sync_scaling_json() {
 int main(int argc, char** argv) {
   using namespace now;
   using namespace now::bench;
+  clear_tmk_env();
   for (int i = 1; i < argc; ++i)
     if (!std::strcmp(argv[i], "--json")) return sync_scaling_json();
 

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "tmk/tmk.h"
 
 namespace {
@@ -105,6 +106,7 @@ int soak_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  now::bench::clear_tmk_env();
   for (int i = 1; i < argc; ++i)
     if (!std::strcmp(argv[i], "--json")) return soak_json();
 

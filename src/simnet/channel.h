@@ -258,43 +258,20 @@ class Channel {
 
   ChannelSnapshot snapshot() const {
     ChannelSnapshot s;
-    s.drops_injected = stats_.drops_injected.load(std::memory_order_relaxed);
-    s.dups_injected = stats_.dups_injected.load(std::memory_order_relaxed);
-    s.reorders_injected = stats_.reorders_injected.load(std::memory_order_relaxed);
-    s.retransmits = stats_.retransmits.load(std::memory_order_relaxed);
-    s.retransmit_wire_bytes =
-        stats_.retransmit_wire_bytes.load(std::memory_order_relaxed);
-    s.ack_requests = stats_.ack_requests.load(std::memory_order_relaxed);
-    s.fast_retransmits = stats_.fast_retransmits.load(std::memory_order_relaxed);
+#define NOW_CHAN_STAT(name) s.name = stats_.name.load(std::memory_order_relaxed);
+#include "simnet/channel_stats.def"
+#undef NOW_CHAN_STAT
     for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b)
       s.recovery_us.counts[b] =
           stats_.recovery_us[b].load(std::memory_order_relaxed);
-    s.dup_drops = stats_.dup_drops.load(std::memory_order_relaxed);
-    s.reorder_holds = stats_.reorder_holds.load(std::memory_order_relaxed);
-    s.acks_sent = stats_.acks_sent.load(std::memory_order_relaxed);
-    s.ack_wire_bytes = stats_.ack_wire_bytes.load(std::memory_order_relaxed);
-    s.probes_sent = stats_.probes_sent.load(std::memory_order_relaxed);
-    s.down_links = stats_.down_links.load(std::memory_order_relaxed);
-    s.down_link_drops = stats_.down_link_drops.load(std::memory_order_relaxed);
     return s;
   }
 
   void reset_stats() {
-    stats_.drops_injected.store(0, std::memory_order_relaxed);
-    stats_.dups_injected.store(0, std::memory_order_relaxed);
-    stats_.reorders_injected.store(0, std::memory_order_relaxed);
-    stats_.retransmits.store(0, std::memory_order_relaxed);
-    stats_.retransmit_wire_bytes.store(0, std::memory_order_relaxed);
-    stats_.ack_requests.store(0, std::memory_order_relaxed);
-    stats_.fast_retransmits.store(0, std::memory_order_relaxed);
+#define NOW_CHAN_STAT(name) stats_.name.store(0, std::memory_order_relaxed);
+#include "simnet/channel_stats.def"
+#undef NOW_CHAN_STAT
     for (auto& c : stats_.recovery_us) c.store(0, std::memory_order_relaxed);
-    stats_.dup_drops.store(0, std::memory_order_relaxed);
-    stats_.reorder_holds.store(0, std::memory_order_relaxed);
-    stats_.acks_sent.store(0, std::memory_order_relaxed);
-    stats_.ack_wire_bytes.store(0, std::memory_order_relaxed);
-    stats_.probes_sent.store(0, std::memory_order_relaxed);
-    stats_.down_links.store(0, std::memory_order_relaxed);
-    stats_.down_link_drops.store(0, std::memory_order_relaxed);
   }
 
   // Test hook: transmissions of `node` not yet cumulatively acked.
@@ -345,22 +322,11 @@ class Channel {
     Clock::time_point next_maintain{};
   };
   struct Stats {
-    std::atomic<std::uint64_t> drops_injected{0};
-    std::atomic<std::uint64_t> dups_injected{0};
-    std::atomic<std::uint64_t> reorders_injected{0};
-    std::atomic<std::uint64_t> retransmits{0};
-    std::atomic<std::uint64_t> retransmit_wire_bytes{0};
-    std::atomic<std::uint64_t> ack_requests{0};
-    std::atomic<std::uint64_t> fast_retransmits{0};
+#define NOW_CHAN_STAT(name) std::atomic<std::uint64_t> name{0};
+#include "simnet/channel_stats.def"
+#undef NOW_CHAN_STAT
     std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets>
         recovery_us{};
-    std::atomic<std::uint64_t> dup_drops{0};
-    std::atomic<std::uint64_t> reorder_holds{0};
-    std::atomic<std::uint64_t> acks_sent{0};
-    std::atomic<std::uint64_t> ack_wire_bytes{0};
-    std::atomic<std::uint64_t> probes_sent{0};
-    std::atomic<std::uint64_t> down_links{0};
-    std::atomic<std::uint64_t> down_link_drops{0};
   };
 
   Message pop_ready(Endpoint& ep) {  // ep.mu held

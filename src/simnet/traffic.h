@@ -56,49 +56,21 @@ struct LatencyHistogram {
 // All zero when the channel is disabled — the default wire is perfect, so
 // these counters are pure additions to the Table 2 measurement substrate.
 struct ChannelSnapshot {
-  // Faults the lossy wire injected (sender side, per transmission).
-  std::uint64_t drops_injected = 0;
-  std::uint64_t dups_injected = 0;
-  std::uint64_t reorders_injected = 0;
-  // The protocol's reactions.
-  std::uint64_t retransmits = 0;           // transmissions re-sent (all paths)
-  std::uint64_t retransmit_wire_bytes = 0;
-  std::uint64_t ack_requests = 0;      // header-only probes for an immediate ack
-  std::uint64_t fast_retransmits = 0;  // of retransmits: repairs an ack
-                                       // request's answer proved missing
+  // The counters, listed once with their meanings in channel_stats.def.
+#define NOW_CHAN_STAT(name) std::uint64_t name = 0;
+#include "simnet/channel_stats.def"
+#undef NOW_CHAN_STAT
   // Host us from first transmission to ack, for entries that needed a
   // retransmission (the wall-clock price of a loss).
   LatencyHistogram recovery_us;
-  std::uint64_t dup_drops = 0;             // receiver-side dedup discards
-  std::uint64_t reorder_holds = 0;         // held for a missing predecessor
-  std::uint64_t acks_sent = 0;             // standalone acks (idle reverse path)
-  std::uint64_t ack_wire_bytes = 0;
-  // Node-crash detection (probe_idle_host_us > 0, i.e. crash injection armed).
-  std::uint64_t probes_sent = 0;       // keepalive probes on idle links
-  std::uint64_t down_links = 0;        // links declared dead on retransmit
-                                       // exhaustion (one per surviving
-                                       // endpoint with traffic toward the
-                                       // victim, not one per victim)
-  std::uint64_t down_link_drops = 0;   // sends dropped toward a dead peer
   // Mailbox shutdown accounting (counted with or without the channel).
   std::uint64_t mailbox_dropped_after_close = 0;
 
   ChannelSnapshot& operator+=(const ChannelSnapshot& o) {
-    drops_injected += o.drops_injected;
-    dups_injected += o.dups_injected;
-    reorders_injected += o.reorders_injected;
-    retransmits += o.retransmits;
-    retransmit_wire_bytes += o.retransmit_wire_bytes;
-    ack_requests += o.ack_requests;
-    fast_retransmits += o.fast_retransmits;
+#define NOW_CHAN_STAT(name) name += o.name;
+#include "simnet/channel_stats.def"
+#undef NOW_CHAN_STAT
     recovery_us += o.recovery_us;
-    dup_drops += o.dup_drops;
-    reorder_holds += o.reorder_holds;
-    acks_sent += o.acks_sent;
-    ack_wire_bytes += o.ack_wire_bytes;
-    probes_sent += o.probes_sent;
-    down_links += o.down_links;
-    down_link_drops += o.down_link_drops;
     mailbox_dropped_after_close += o.mailbox_dropped_after_close;
     return *this;
   }

@@ -49,10 +49,8 @@ struct DsmConfig {
   // departure message, and each node reclaims knowledge-log records and its
   // own diff-store entries below it (diffs one barrier delayed, after every
   // node has validated its pages).  Without it, logs and diff stores grow
-  // without bound with barrier count.  Default overridable via
-  // TMK_GC_AT_BARRIERS (0 = off), so CI matrix legs can toggle GC without
-  // code changes.
-  bool gc_at_barriers = detail::env_flag("TMK_GC_AT_BARRIERS", true);
+  // without bound with barrier count.
+  bool gc_at_barriers = true;
 
   // Treat the fork that follows a join as a barrier-equivalent reclamation
   // point: at join the master has merged every slave's records, so its full
@@ -204,7 +202,7 @@ struct DsmConfig {
   // that also root the barrier tree and serve allocations.  The hash
   // decorrelates manager placement from id assignment so no node owns all
   // migratory chains.  Off by default (the modulo is the paper's static
-  // placement); CI's treesync leg runs the whole suite with it on.  Default
+  // placement); CI's features leg runs the whole suite with it on.  Default
   // overridable via TMK_SHARD_MANAGERS.
   bool shard_managers = detail::env_flag("TMK_SHARD_MANAGERS", false);
 

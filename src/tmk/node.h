@@ -518,6 +518,13 @@ class Node {
   std::vector<PageIndex> gc_scan_pages_;
 
   // ---- consistency metadata (meta_mu_) ----
+  // Held across a whole merge_and_invalidate: the log merge *and* the page
+  // invalidations it implies.  The compute thread (a sema or lock grant) and
+  // the service thread (a kJoin, kFork or flush) can merge the same records
+  // at once; the loser of the log merge sees only duplicates and returns,
+  // and without this lock its caller could read pages the winner has not
+  // yet invalidated.  Taken before meta_mu_ and any page mutex.
+  std::mutex merge_mu_;
   std::mutex meta_mu_;
   KnowledgeLog log_;
   std::uint32_t own_seq_ = 0;      // last closed interval

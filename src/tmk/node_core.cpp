@@ -95,6 +95,7 @@ void Node::close_interval() {
 }
 
 void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
+  std::lock_guard<std::mutex> merging(merge_mu_);  // see merge_mu_
   std::vector<IntervalRecordPtr> fresh;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);

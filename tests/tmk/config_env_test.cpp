@@ -69,7 +69,7 @@ TEST(ConfigEnv, LockPushKnobsOverrideDefaults) {
 }
 
 // The sync-fabric knobs (combining-tree arity, manager sharding) ride the
-// same hardened parser: the CI treesync leg sets them as session defaults.
+// same hardened parser: the CI features leg sets them as session defaults.
 TEST(ConfigEnv, SyncFabricKnobsOverrideDefaults) {
   EXPECT_EQ(DsmConfig{}.barrier_tree_arity, 0u);  // default: centralized/flat
   EXPECT_FALSE(DsmConfig{}.shard_managers);
@@ -153,8 +153,9 @@ TEST(ConfigEnvDeathTest, RejectsMalformedMetaCeilingKnob) {
 }
 
 // Crash/recovery knobs: the retry budget that used to be a hard-coded abort
-// threshold, the crash script, and the checkpoint cadence — all session
-// defaults for the CI crash leg, all hardened by the same parser.
+// threshold, the crash script, and the checkpoint cadence — all env
+// defaults (the CI features leg sets the cadence), all hardened by the same
+// parser.
 TEST(ConfigEnv, CrashRecoveryKnobsOverrideDefaults) {
   EXPECT_EQ(DsmConfig{}.net_max_retries, 24u);
   EXPECT_EQ(DsmConfig{}.net_crash_node, DsmConfig::kNoCrashNode);

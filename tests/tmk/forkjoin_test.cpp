@@ -197,6 +197,51 @@ TEST(ForkJoin, BarriersInsideParallelRegion) {
   });
 }
 
+// A slave that signals a semaphore and then ends the region ships the same
+// interval record twice to the master: once through the sema grant its
+// compute thread merges, and once in the kJoin its service thread merges.
+// Whichever merge loses the log race sees only duplicates; it must not
+// return before the winner has invalidated the written pages, or the master
+// reads stale bytes (the OpenMP pipeline pattern of Sweep3D).
+constexpr std::size_t kSignalPages = 128;
+constexpr std::size_t kWordsPerPage = kPageSize / sizeof(std::uint64_t);
+
+void region_signal_then_join(Tmk& tmk, const void* raw, std::size_t) {
+  struct A {
+    gptr<std::uint64_t> data;
+    std::uint64_t round;
+  } arg;
+  std::memcpy(&arg, raw, sizeof arg);
+  if (tmk.id() == 1) {
+    for (std::size_t p = 0; p < kSignalPages; ++p)
+      arg.data[p * kWordsPerPage] = arg.round * 1000 + p;
+    tmk.sema_signal(0);
+    return;  // straight into the kJoin
+  }
+  tmk.sema_wait(0);
+  for (std::size_t p = 0; p < kSignalPages; ++p)
+    ASSERT_EQ(arg.data[p * kWordsPerPage], arg.round * 1000 + p)
+        << "round " << arg.round << " page " << p;
+}
+
+TEST(ForkJoin, SemaGrantRacingJoinNeverExposesStalePages) {
+  DsmRuntime rt(cfg(2));
+  rt.run_master([](Tmk& tmk) {
+    auto data = tmk.alloc_array<std::uint64_t>(kSignalPages * kWordsPerPage);
+    struct A {
+      gptr<std::uint64_t> data;
+      std::uint64_t round;
+    };
+    for (std::uint64_t r = 1; r <= 300 && !::testing::Test::HasFatalFailure();
+         ++r) {
+      A arg{data, r};
+      tmk.fork(&region_signal_then_join, &arg, sizeof arg);
+      region_signal_then_join(tmk, &arg, sizeof arg);
+      tmk.join();
+    }
+  });
+}
+
 TEST(ForkJoin, VirtualTimeAdvancesMonotonically) {
   DsmRuntime rt(cfg(2));
   rt.run_master([](Tmk& tmk) {

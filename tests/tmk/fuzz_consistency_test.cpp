@@ -163,7 +163,7 @@ std::vector<std::uint64_t> run_fuzz(const FuzzConfig& fc, std::uint64_t seed,
   c.meta_ceiling_bytes = fc.ceiling;
   c.time.cpu_scale = 0.0;
   // Chaos legs override whatever the TMK_NET_* env defaults injected (the
-  // chaos CI leg faults every leg above via env; these legs pin their own
+  // CI features leg faults every leg above via env; these legs pin their own
   // rates so a failure replays identically anywhere).
   if (fc.chaos()) {
     c.net_fault = {};

@@ -74,8 +74,9 @@ void bound_loop(Tmk& tmk, std::size_t iters, std::size_t dirty_words,
 TEST(LockPush, PromotionAfterStableHandoffs) {
   constexpr std::size_t kIters = 24;
   // The per-handoff message-count ratios below are perfect-wire properties:
-  // under the chaos CI leg the two runs draw independent fault streams, and
-  // retransmits/dups inflate their counters by different amounts.
+  // under the CI features leg's lossy wire the two runs draw independent
+  // fault streams, and retransmits/dups inflate their counters by
+  // different amounts.
   auto pinned = [](std::size_t lock_push_bytes) {
     DsmConfig c = cfg(4, lock_push_bytes);
     c.net_fault = {};

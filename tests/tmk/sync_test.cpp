@@ -117,7 +117,7 @@ TEST(Locks, ManyLocksIndependent) {
 TEST(Semaphores, PipelineProducerConsumer) {
   // Paper Figure 3: flags become semaphores, no busy-waiting.
   // The exact two-messages-per-op count below is a perfect-wire property:
-  // under the chaos CI leg's injected faults, retransmissions and acks
+  // under the CI features leg's injected faults, retransmissions and acks
   // legitimately add messages, so this measurement pins the wire.
   DsmConfig c = cfg(2);
   c.net_fault = {};
@@ -291,7 +291,7 @@ TEST(CondVars, HandoffSurvivesLossyWire) {
   constexpr std::uint64_t kRounds = 25;
   for (std::uint64_t seed : {1u, 7u, 23u}) {
     DsmConfig c = cfg(3);
-    c.net_fault = {};  // independent of the chaos CI leg's env knobs
+    c.net_fault = {};  // independent of the CI features leg's env knobs
     c.net_fault.drop_ppm = 50000;
     c.net_fault.dup_ppm = 20000;
     c.net_fault.reorder_ppm = 50000;
