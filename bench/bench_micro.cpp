@@ -107,7 +107,9 @@ std::vector<DiffThroughput> measure_diff_throughput() {
 // Strided-sweep fetch amortization: the Sweep3D/FFT-transpose access shape —
 // one node dirties a plane of pages, a neighbor then walks them in page
 // order.  Message count, not bandwidth, dominates NOW performance (Table 2),
-// so the multi-page prefetch window's job is to cut kDiffRequests.
+// so the multi-page prefetch window's job is to cut kDiffRequests.  The
+// notices travel by semaphore: after a barrier the validation pass has
+// already fetched the whole plane in one request, leaving nothing to fault.
 // ---------------------------------------------------------------------------
 
 struct SweepResult {
@@ -120,8 +122,9 @@ struct SweepResult {
 // Producer-consumer push vs pull: the epoch-stable sharing shape the adaptive
 // update protocol targets — one node rewrites the same pages every epoch, a
 // neighbor reads them every epoch.  Under the invalidate protocol every epoch
-// re-pays the post-barrier faults and round trips; with update mode on the
-// writer's barrier-time push makes the pages come out of the barrier valid.
+// re-pays the post-barrier faults and the barrier's validation round trips;
+// with update mode on the writer's barrier-time push makes the pages come
+// out of the barrier valid.
 // ---------------------------------------------------------------------------
 
 struct PushPullResult {
@@ -232,12 +235,13 @@ SweepResult strided_sweep(std::size_t prefetch_pages, std::size_t pages) {
   now::tmk::DsmRuntime rt(c);
   rt.run_spmd([pages, words_per_page](now::tmk::Tmk& tmk) {
     now::tmk::gptr<std::uint64_t> base(now::tmk::kPageSize);
-    if (tmk.id() == 0)
+    if (tmk.id() == 0) {
       for (std::size_t pg = 0; pg < pages; ++pg)
         for (std::size_t k = 0; k < 32; ++k)
           base[pg * words_per_page + k] = pg * 100 + k;
-    tmk.barrier();
-    if (tmk.id() == 1) {
+      tmk.sema_signal(0);
+    } else {
+      tmk.sema_wait(0);
       volatile std::uint64_t sink = 0;
       for (std::size_t pg = 0; pg < pages; ++pg)
         sink += base[pg * words_per_page + (pg % 32)];

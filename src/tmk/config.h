@@ -45,11 +45,13 @@ struct DsmConfig {
   double barrier_manager_us = 30.0;      // manager bookkeeping at departure
 
   // Garbage-collect consistency metadata at barriers (TreadMarks-style): the
-  // manager piggybacks the minimal vector time across all arrivals on the
-  // departure message, and each node reclaims knowledge-log records and its
-  // own diff-store entries below it (diffs one barrier delayed, after every
-  // node has validated its pages).  Without it, logs and diff stores grow
-  // without bound with barrier count.
+  // manager piggybacks the vector time of its log once every arrival has
+  // merged (what every node knows after it departs) on the departure
+  // message; each node validates its pages against it (fetching and pinning
+  // the epoch's diffs in one batched request per writer) and reclaims
+  // knowledge-log records and its own diff-store entries below it (diffs
+  // one barrier delayed, after every node has validated its pages).
+  // Without it, logs and diff stores grow without bound with barrier count.
   bool gc_at_barriers = true;
 
   // Treat the fork that follows a join as a barrier-equivalent reclamation

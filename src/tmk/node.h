@@ -103,6 +103,12 @@ class Node {
   // Page-table chunks this node has allocated (kPageChunkPages pages each).
   // Host memory, not consistency metadata: outside MetaFootprint.
   std::size_t page_chunks() const { return pages_.chunks(); }
+  // This node's knowledge-log vector time.
+  VectorTime vector_time();
+  // Floor most recently applied by gc_at_barrier (piggybacked on messages
+  // whose records merge into a peer's manager log, so the sparse manager log
+  // can raise its own floor before merging).
+  VectorTime gc_floor_snapshot();
   // Prints lock-client and manager state to stderr (deadlock forensics).
   void debug_dump();
 
@@ -130,16 +136,18 @@ class Node {
   // invalidates local copies (acquire side of lazy invalidate RC).
   void merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs);
   // Fetches and applies all unapplied diffs for a page (fault path).
-  void fetch_and_apply(PageIndex page, PageEntry& entry);
+  // Returns whether a GC pin served any of them.
+  bool fetch_and_apply(PageIndex page, PageEntry& entry);
   // Computes diff(twin, current) into the diff store and drops the twin.
   // Caller holds entry.mu; page must be readable.
   void materialize_twin(PageIndex page, PageEntry& entry);
   void invalidate_page(PageIndex page, PageEntry& entry);  // holds entry.mu
 
   // ---------- barrier-time GC (compute thread, on barrier departure) ----------
-  // Applies the manager's piggybacked minimal vector time (gc_apply_floor)
-  // and reclaims own diff-store entries from the previous epoch's floor (one
-  // barrier delayed, so in-flight validation fetches are always served).
+  // Applies the departure's floor — the vector time every node holds once
+  // departed (gc_apply_floor) — and reclaims own diff-store entries from the
+  // previous epoch's floor (one barrier delayed, so in-flight validation
+  // fetches are always served).
   void gc_at_barrier(const VectorTime& floor);
   // The body shared by gc_at_barrier and gc_raise_floor: truncates the
   // knowledge log and sent-caches to the floor, raises the applied floor,
@@ -149,10 +157,6 @@ class Node {
   void gc_apply_floor(const VectorTime& floor);
   // The validation pass of gc_apply_floor: fetch + pin old diffs.
   void gc_validate_pages(const VectorTime& floor);
-  // Floor most recently applied by gc_at_barrier (piggybacked on messages
-  // whose records merge into a peer's manager log, so the sparse manager log
-  // can raise its own floor before merging).
-  VectorTime gc_floor_snapshot();
   // Raises the manager-duty log's floor to a sender's piggybacked floor
   // before merging its delta (service thread only).
   void mgr_gc_to(const VectorTime& floor);
@@ -360,11 +364,14 @@ class Node {
     std::uint32_t writer = 0;
     std::vector<std::uint32_t> seqs;
     std::vector<std::uint32_t> authors;  // empty: every seq is writer's own
+    bool read = false;  // validation only: the page's reader mark
   };
   // kDiffRequest flag bits, and the routed reply's marker (in the chunk
-  // count's place) for an interval the writer no longer holds.
+  // count's place) for an interval the writer no longer holds.  With
+  // kDiffReqReads every page entry ends in one byte, its reader mark.
   static constexpr std::uint8_t kDiffReqForGc = 1;
   static constexpr std::uint8_t kDiffReqRouted = 2;
+  static constexpr std::uint8_t kDiffReqReads = 4;
   static constexpr std::uint32_t kDiffStockMiss = 0xffffffffu;
   std::map<DiffKey, std::vector<DiffChunkView>> fetch_diffs(
       const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
@@ -401,7 +408,8 @@ class Node {
   // start the departure wave (root).
   void tree_barrier_advance();
   // Sends every parked arrival its departure (kBarrierDepart for rpc
-  // arrivals, kTreeDepart for child combining points) and clears the slate.
+  // arrivals, kTreeDepart for child combining points), clears the slate and
+  // then collects the manager log to the floor.
   void tree_barrier_fan_down(const VectorTime& floor, std::uint64_t depart_ts);
   void on_sema_signal(sim::Message&& m);    // manager duty
   void on_sema_wait(sim::Message&& m);      // manager duty

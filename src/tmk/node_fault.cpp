@@ -58,6 +58,11 @@ void Node::handle_fault(void* addr) {
           // is the correct initial contents — no communication, as in
           // TreadMarks.
           stats_.cold_zero_fills.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          // Contents already made current here (a validation pass applied
+          // the page's backlog, or a dead push was disarmed): a read no
+          // writer heard of.
+          e.unheard_read = true;
         }
         rt_.arena().protect_read(id_, page);
         e.state = PageState::kReadOnly;
@@ -65,7 +70,13 @@ void Node::handle_fault(void* addr) {
         return;  // a write access re-faults immediately and upgrades below
       }
       lock.unlock();
-      fetch_and_apply(page, e);
+      if (fetch_and_apply(page, e)) {
+        // GC pins served (part of) the read, so their writers never heard
+        // of it.  Marked here, not in fetch_and_apply, which checkpoint
+        // staging also runs.
+        std::lock_guard<std::mutex> relock(e.mu);
+        e.unheard_read = true;
+      }
       return;
     }
 
@@ -110,9 +121,10 @@ void Node::handle_fault(void* addr) {
   }
 }
 
-void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
+bool Node::fetch_and_apply(PageIndex page, PageEntry& e) {
   const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
   const std::size_t window = rt_.config().prefetch_pages;
+  bool pin_served = false;
   for (;;) {
     std::vector<UnappliedNotice> want;
     std::vector<UnappliedNotice> need;  // not already held in the diff cache
@@ -125,7 +137,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
           e.state = PageState::kReadOnly;
           e.ever_valid = true;
         }
-        return;
+        return pin_served;
       }
       want = e.unapplied;
       // Chunks already held locally — parked by a neighbor fault's prefetch,
@@ -137,6 +149,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
           ++cache_hits;
           if (ent->prefetched) ++pf_hits;
+          pin_served |= ent->pinned;
           // Reply bytes this hit avoids: the per-interval seq + chunk-count
           // header plus each chunk's length prefix and payload.  (A fully
           // suppressed request message saves more still; not counted.)
@@ -349,7 +362,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       rt_.arena().protect_read(id_, page);
       e.state = PageState::kReadOnly;
       e.ever_valid = true;
-      return;
+      return pin_served;
     }
     rt_.arena().protect_none(id_, page);
     e.state = PageState::kInvalid;

@@ -304,8 +304,9 @@ void Node::update_push_promoted(std::uint64_t barrier_index) {
         w.u32(static_cast<std::uint32_t>(item.seqs->size()));
         for (std::uint32_t seq : *item.seqs) {
           // GC-floor interaction: the epoch's own intervals are always above
-          // the reclaim prefix (the floor lags the epoch by construction),
-          // so a pushed seq can never dangle into reclaimed diffs.
+          // the reclaim prefix (the last floor is the previous departure,
+          // which they postdate), so a pushed seq can never dangle into
+          // reclaimed diffs.
           NOW_CHECK_GT(seq, gc_drop_seq_)
               << "pushed interval below the reclaimed diff-store prefix";
           auto it = diff_store_.find(diff_store_key(item.page, seq));

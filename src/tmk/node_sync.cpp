@@ -126,18 +126,16 @@ void Node::tree_barrier_advance() {
     fold_ts = std::max(fold_ts, arr.arrive_ts);
   fold_ts += static_cast<std::uint64_t>(rt_.config().barrier_manager_us * 1000.0);
 
-  // The fold: the minimal vector time across this subtree.  At the root
-  // that *is* the GC floor — every node's knowledge dominated it when it
-  // arrived, so records at or below it can be reclaimed everywhere.
-  VectorTime fold = mgr_.barrier.arrivals.front().vt;
-  for (const auto& arr : mgr_.barrier.arrivals) fold = vt_min(std::move(fold), arr.vt);
-
   if (id_ != topo.barrier_root()) {
     // Interior: forward one combined arrival to the parent and keep the
     // subtree parked until its departure wave comes back down.  The
-    // announced floor is this manager log's own floor (already the max of
-    // every floor the subtree announced, via mgr_gc_to above), and the
-    // delta is cut against what the parent already holds of this log.
+    // arrival's vector time is the min fold over the subtree, the bound
+    // the parent cuts this subtree's departure delta from.  The announced
+    // floor is this manager log's own floor (already the max of every floor
+    // the subtree announced, via mgr_gc_to above), and the delta is cut
+    // against what the parent already holds of this log.
+    VectorTime fold = mgr_.barrier.arrivals.front().vt;
+    for (const auto& arr : mgr_.barrier.arrivals) fold = vt_min(std::move(fold), arr.vt);
     VectorTime mgr_floor(num_nodes_, 0);
     for (std::uint32_t i = 0; i < num_nodes_; ++i)
       mgr_floor[i] = mgr_.log.gc_floor(i);
@@ -158,13 +156,10 @@ void Node::tree_barrier_advance() {
     return;
   }
 
-  // Root: the fold over every arrival is the global floor.
-  if (rt_.config().gc_at_barriers) {
-    const std::size_t dropped = mgr_.log.gc_to(fold);
-    if (dropped)
-      stats_.gc_records_reclaimed.fetch_add(dropped, std::memory_order_relaxed);
-  }
-  tree_barrier_fan_down(fold, fold_ts);
+  // Root: every arrival's records are merged, so this log's vector time is
+  // exactly what every node knows once its departure is merged — the GC
+  // floor, the barrier analogue of a fork's post-join floor.
+  tree_barrier_fan_down(mgr_.log.vt(), fold_ts);
 }
 
 void Node::tree_barrier_fan_down(const VectorTime& floor, std::uint64_t depart_ts) {
@@ -185,6 +180,9 @@ void Node::tree_barrier_fan_down(const VectorTime& floor, std::uint64_t depart_t
     rt_.net().send(std::move(depart));
   }
   mgr_.barrier.arrivals.clear();
+  // Only now, with every delta cut: mgr_delta_since starts from the log's
+  // floor, and this floor is the global vector time.
+  if (rt_.config().gc_at_barriers) mgr_gc_to(floor);
 }
 
 void Node::on_tree_depart(sim::Message&& m) {
@@ -197,7 +195,6 @@ void Node::on_tree_depart(sim::Message&& m) {
   stats_.barrier_msgs_recv.fetch_add(1, std::memory_order_relaxed);
   ByteReader r(m.payload);
   const VectorTime floor = KnowledgeLog::deserialize_vt(r);
-  if (rt_.config().gc_at_barriers) mgr_gc_to(floor);
   mgr_.log.merge(KnowledgeLog::deserialize_records(r));
   tree_sent_up_vt_ = mgr_.log.vt();
   const std::uint64_t depart_ts =
@@ -230,6 +227,11 @@ std::vector<IntervalRecordPtr> Node::mgr_delta_since(const VectorTime& since) {
 }
 
 void Node::gc_at_barrier(const VectorTime& floor) {
+  // The floor is the vector time every node holds once it has departed (a
+  // barrier's merged arrivals, a fork's post-join master), so this pass
+  // fetches and pins the diffs of every notice the departure delivered:
+  // the epoch's batched fetch, ahead of the faults that read them.
+  //
   // Own diff-store entries are reclaimed one reclamation point late: this
   // pass drops entries at or below the *previous* floor, while the current
   // floor's diffs stay servable until every node has validated its pages
@@ -237,12 +239,12 @@ void Node::gc_at_barrier(const VectorTime& floor) {
   // fetch is replied to before the peer can reach the next reclamation
   // point — the next barrier, or the next fork, which the master only sends
   // after every slave's join — and this node only reclaims after that next
-  // point.)  Barriers and fork points interleave freely: both are global
-  // sync points, so the drain argument holds across either sequence, and
-  // the floors they establish are monotone (a fork floor is the master's
-  // post-join vector time, which dominates any earlier barrier floor; a
-  // later barrier's floor is a min over vector times that all dominate the
-  // fork floor).
+  // point.  Nothing else can want those diffs: validation pinned or applied
+  // every notice at or below the floor on every node, and every later fetch,
+  // push or grant delta names intervals above it.)  Barriers and fork points
+  // interleave freely: both are global sync points, so the drain argument
+  // holds across either sequence, and the floors they establish are
+  // monotone (every node's vector time only grows).
   const std::uint32_t prev_drop = gc_drop_seq_;
   gc_drop_seq_ = std::max(gc_drop_seq_, floor[id_]);
   gc_apply_floor(floor);
@@ -328,7 +330,9 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     PageIndex page = 0;
     std::vector<UnappliedNotice> old;                       // every old notice
     std::map<std::uint32_t, std::vector<std::uint32_t>> fetch;  // writer -> seqs
+    bool read = false;  // carries the page's reader mark to its writers
   };
+  const bool update_on = rt_.config().update_enabled();
   std::vector<PageWork> work;
   std::vector<PageIndex> keep;  // pages to revisit at the next barrier
   for (PageIndex page : scan) {
@@ -349,6 +353,13 @@ void Node::gc_validate_pages(const VectorTime& floor) {
       if (e.diff_cache.pin_existing(n.writer, n.seq)) continue;
       w.fetch[n.writer].push_back(n.seq);
     }
+    // Update mode: the request to the page's writers is what tells them of
+    // reads they never heard of; a page with nothing to fetch keeps its mark
+    // for a later request.
+    if (update_on && e.unheard_read && !w.fetch.empty()) {
+      w.read = true;
+      e.unheard_read = false;
+    }
     if (!w.old.empty()) work.push_back(std::move(w));
   }
   if (!keep.empty()) {
@@ -362,7 +373,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<DiffWant> wants;
   for (const PageWork& w : work)
     for (const auto& [writer, seqs] : w.fetch)
-      wants.push_back({w.page, writer, seqs, {}});
+      wants.push_back({w.page, writer, seqs, {}, w.read});
   std::vector<sim::Message> replies;
   auto got = fetch_diffs(wants, replies, /*for_gc=*/true);
 
@@ -418,6 +429,9 @@ void Node::gc_validate_pages(const VectorTime& floor) {
                          return n.seq <= floor[n.writer];
                        }),
         e.unapplied.end());
+    // The old prefix is applied: contents are no longer the initial zero
+    // page (checkpoint staging and the cold-fill path both ask).
+    e.ever_valid = true;
     rt_.arena().protect_none(id_, w.page);  // stays invalid: the fault is lazy
     stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
     clock_.advance_us(rt_.config().diff_apply_per_kb_us *

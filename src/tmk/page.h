@@ -316,6 +316,12 @@ struct PageEntry {
   // or this node's release of the pushing lock) was a dead push, and the
   // pushers are denied (kPushDeny).
   PushKind push_armed = PushKind::kNone;
+  // Update mode's reader mark (guarded by mu, compute thread only): a read
+  // fault was served from contents this node made current without asking
+  // the page's writers — GC pins, or a backlog the validation pass applied
+  // — so no writer's copyset heard of the read.  The page's next validation
+  // request carries the mark to its writers and clears it.
+  bool unheard_read = false;
   // Pushes applied to this page since the last denial; schedules the armed
   // probes (every Nth applied push, N per keying — the ones in between
   // validate outright).

@@ -4,8 +4,9 @@
 //    cache budget) and off, across multi-writer epochs;
 //  - memory plateau: log record counts and diff-store bytes stay bounded by
 //    an inter-barrier epoch instead of growing linearly with barrier count;
-//  - the requester-side diff cache as GC's consumer: a fault that would
-//    re-request a reclaimed diff is served from the pinned prefetch;
+//  - the requester-side diff cache as GC's consumer: the read after a
+//    barrier, and a fault that would re-request a reclaimed diff, are
+//    served from the pins the validation pass left;
 //  - sparse-log delta interaction: lock/sema/cond deltas stay contiguous
 //    after floors have truncated both node and manager logs.
 #include <gtest/gtest.h>
@@ -156,8 +157,7 @@ TEST(GC, ReclaimedDiffIsServedFromPinnedCache) {
     gptr<std::uint64_t> p(kPageSize);
     if (tmk.id() == 0)
       for (std::size_t i = 0; i < 8; ++i) p[i] = 40 + i;
-    tmk.barrier();  // records travel; floor does not cover them yet
-    tmk.barrier();  // floor covers the write: node 1 pins the diff
+    tmk.barrier();  // records travel and the floor covers them: node 1 pins
     tmk.barrier();  // one barrier later: node 0 reclaims the diff
     if (tmk.id() == 1)
       for (std::size_t i = 0; i < 8; ++i)
@@ -170,6 +170,33 @@ TEST(GC, ReclaimedDiffIsServedFromPinnedCache) {
   EXPECT_GT(s.gc_diff_bytes_reclaimed, 0u);
   // The writer's diff store really is empty again.
   EXPECT_EQ(rt.node(0).meta_footprint().diff_store_entries, 0u);
+}
+
+// The floor's payoff: the barrier's validation pass fetched and pinned the
+// epoch's diffs at the departure, so the read that follows is served from
+// the pin — the fault sends no kDiffRequest — and sees the writer's bytes.
+TEST(GC, ReadAfterBarrierIsServedFromThePin) {
+  DsmStatsSnapshot before, after;
+  std::vector<std::uint64_t> seen;
+  DsmRuntime rt(cfg(2, /*gc=*/true));
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> p(kPageSize);
+    if (tmk.id() == 0)
+      for (std::size_t w = 0; w < kWordsPerPage; w += 3) p[w] = 7 * w + 1;
+    tmk.barrier();
+    if (tmk.id() == 1) {
+      before = tmk.node.stats().snapshot();
+      for (std::size_t w = 0; w < kWordsPerPage; ++w) seen.push_back(p[w]);
+      after = tmk.node.stats().snapshot();
+    }
+    tmk.barrier();
+  });
+  EXPECT_EQ(after.read_faults - before.read_faults, 1u);
+  EXPECT_EQ(after.diff_fetches - before.diff_fetches, 0u);
+  EXPECT_GE(after.diff_cache_hits - before.diff_cache_hits, 1u);
+  ASSERT_EQ(seen.size(), kWordsPerPage);
+  for (std::size_t w = 0; w < kWordsPerPage; ++w)
+    EXPECT_EQ(seen[w], w % 3 == 0 ? 7 * w + 1 : 0) << "word " << w;
 }
 
 // A reader that stays away for many epochs accumulates one pinned diff per
@@ -262,12 +289,12 @@ TEST(GC, PinInsertedAfterPrefetchEntryEvictsDroppableNeverPin) {
 }
 
 // Prefetch/GC interaction, protocol level: a prefetch that lands just
-// before the writer's one-barrier-delayed reclaim is still served.  Node 1's
-// fault on page A prefetches neighbor B's diff while its write notice is not
-// yet floor-covered; the next barrier's validation pass must promote that
-// droppable entry to a pin (not skip it), because one barrier later the
-// writer reclaims the only other copy.  The late read of B can then only be
-// served from the promoted pin.
+// before the writer's one-barrier-delayed reclaim is still served.  The
+// write notices reach node 1 through a semaphore, so no floor covers them
+// yet, and its fault on page A prefetches neighbor B's diff; the next
+// barrier's validation pass must promote that droppable entry to a pin (not
+// skip it), because one barrier later the writer reclaims the only other
+// copy.  The late read of B can then only be served from the promoted pin.
 TEST(GC, PrefetchLandingJustBeforeReclaimIsStillServed) {
   DsmConfig c = cfg(2, /*gc=*/true);
   c.prefetch_pages = 4;
@@ -279,11 +306,12 @@ TEST(GC, PrefetchLandingJustBeforeReclaimIsStillServed) {
     if (tmk.id() == 0) {
       for (std::size_t i = 0; i < 8; ++i) a[i] = 40 + i;
       for (std::size_t i = 0; i < 8; ++i) b[i] = 50 + i;
-    }
-    tmk.barrier();  // records travel; the floor does not cover them yet
-    if (tmk.id() == 1)
+      tmk.sema_signal(0);
+    } else {
+      tmk.sema_wait(0);  // records travel; no floor covers them yet
       for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(a[i], 40 + i);  // fault on A prefetches B (droppable)
+    }
     tmk.barrier();  // floor covers the writes: validation promotes B's entry
     if (tmk.id() == 1)
       pinned_after_validate = tmk.node.meta_footprint().diff_cache_pinned_bytes;

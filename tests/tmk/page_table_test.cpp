@@ -38,17 +38,21 @@ TEST(PageTable, EmptyProgramAllocatesNoChunks) {
 }
 
 // Node 0 writes pages [first, first + k), node 1 reads them back in order.
-// Returns each node's chunk count.
+// The notices travel by semaphore, so node 1's faults fetch (and prefetch)
+// them; a barrier's validation pass would pin them all first.  Returns each
+// node's chunk count.
 std::vector<std::size_t> touch_pages(std::size_t first, std::size_t k,
                                      DsmStatsSnapshot* stats) {
   DsmRuntime rt(cfg(2, std::size_t{8} << 20));
   rt.run_spmd([&](Tmk& tmk) {
     gptr<std::uint64_t> base(first * kPageSize);
-    if (tmk.id() == 0)
+    if (tmk.id() == 0) {
       for (std::size_t p = 0; p < k; ++p) base[p * kWpp] = p + 1;
-    tmk.barrier();
-    if (tmk.id() == 1)
+      tmk.sema_signal(0);
+    } else {
+      tmk.sema_wait(0);
       for (std::size_t p = 0; p < k; ++p) EXPECT_EQ(base[p * kWpp], p + 1);
+    }
     tmk.barrier();
   });
   *stats = rt.total_stats();

@@ -143,11 +143,15 @@ TEST(RoutedFetch, FaultOutsideCriticalSectionAsksEveryWriter) {
     gptr<std::uint64_t> base(kPageSize);
     const std::uint32_t id = tmk.id();
     tmk.barrier();
-    if (id > 0)
+    // The notices travel by semaphore: a barrier's validation pass would
+    // already have pinned every diff, leaving the fault nothing to fetch.
+    if (id > 0) {
       for (std::size_t k = 0; k < kRunWords; ++k)
         base[id * kRunWords + k] = word_of(id, 0, 0, k);
-    tmk.barrier();
+      tmk.sema_signal(0);
+    }
     if (id == 0) {
+      for (std::uint32_t n = 1; n < kNodes; ++n) tmk.sema_wait(0);
       const DsmStatsSnapshot before = tmk.node.stats().snapshot();
       for (std::uint32_t n = 1; n < kNodes; ++n) seen.push_back(base[n * kRunWords]);
       const DsmStatsSnapshot after = tmk.node.stats().snapshot();

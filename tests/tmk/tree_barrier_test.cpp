@@ -1,7 +1,7 @@
 // The combining-tree barrier fabric: topology shape, byte-for-byte
-// equivalence with the centralized (flat) barrier across arities, GC-floor
-// folding up the tree, update pushes draining at interior nodes, and the
-// per-node message-load contraction the tree exists for.
+// equivalence with the centralized (flat) barrier across arities, the GC
+// floor every fabric departs with, update pushes draining at interior nodes,
+// and the per-node message-load contraction the tree exists for.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -142,11 +142,10 @@ TEST(TreeBarrier, AritySweepByteIdentical) {
   }
 }
 
-// (a) Floor folding up the tree equals the centralized min: the GC floor is
-// what truncates each node's knowledge log, so identical per-node record
+// (a) The tree's floor reaches as far as the centralized one: the GC floor
+// is what truncates each node's knowledge log, so identical per-node record
 // plateaus across fabrics — over a run long enough for logs to grow without
-// GC — prove the folded floor reaches exactly as far as the centralized
-// min over all arrivals.
+// GC — prove the floor fanned down the tree equals the flat root's.
 TEST(TreeBarrier, FoldedGcFloorMatchesCentralized) {
   auto footprints = [&](std::uint32_t arity) {
     DsmConfig c = tree_cfg(8, arity);
@@ -171,6 +170,78 @@ TEST(TreeBarrier, FoldedGcFloorMatchesCentralized) {
   // And the floor actually moved: 12 epochs of 8 writers would hold ~96
   // records per log unGCed; the plateau must sit well below that.
   for (std::size_t r : flat) EXPECT_LT(r, 48u);
+}
+
+// The floor a barrier establishes is the departure's vector time — what
+// every node holds once its departure is merged, like a fork's post-join
+// floor — whatever the fabric: flat, the chain, binary and 3-ary trees, and
+// arity n (flat again).  Every node applies the same floor, and it equals
+// the node's own vector time right after the barrier.
+TEST(TreeBarrier, FloorIsTheDepartureVectorTime) {
+  constexpr std::uint32_t kNodes = 8;
+  constexpr std::uint32_t kBarriers = 4;
+  for (std::uint32_t arity : {0u, 1u, 2u, 3u, kNodes}) {
+    SCOPED_TRACE(::testing::Message() << "arity=" << arity);
+    DsmConfig c = tree_cfg(kNodes, arity);
+    c.gc_at_barriers = true;
+    std::vector<VectorTime> floors(kNodes), vts(kNodes);
+    DsmRuntime rt(c);
+    rt.run_spmd([&](Tmk& tmk) {
+      gptr<std::uint64_t> data(kPageSize);
+      const std::uint32_t id = tmk.id();
+      for (std::uint32_t b = 0; b < kBarriers; ++b) {
+        data[id * kWordsPer + b] = b + 1;  // one interval per node per epoch
+        tmk.barrier();
+      }
+      // Nothing is written after the last barrier, so no interval closes
+      // and the vector time still is the departure's.
+      floors[id] = tmk.node.gc_floor_snapshot();
+      vts[id] = tmk.node.vector_time();
+    });
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      EXPECT_EQ(vts[i], VectorTime(kNodes, kBarriers)) << "node " << i;
+      EXPECT_EQ(floors[i], vts[i]) << "node " << i;
+    }
+  }
+}
+
+// The same write -> barrier -> read program over 3 nodes reads identical
+// bytes with the tree on (arity 1: node 1 is a combining point between the
+// root and the leaf, collecting its log to the floor only after cutting the
+// leaf's departure delta) and off.  Reads are recorded and checked after
+// the run: an assertion inside it would strand the other nodes at the next
+// barrier, turning a stale read into a hang.
+TEST(TreeBarrier, ThreeNodeReadsIdenticalWithTreeOnAndOff) {
+  constexpr std::uint32_t kNodes = 3;
+  constexpr std::size_t kRounds = 5;
+  auto value = [](std::size_t round, std::size_t w) {
+    return (round + 1) * 1000003 + w * 7;
+  };
+  auto reads = [&](std::uint32_t arity) {
+    std::vector<std::vector<std::uint64_t>> seen(kNodes);
+    DsmRuntime rt(tree_cfg(kNodes, arity));
+    rt.run_spmd([&](Tmk& tmk) {
+      gptr<std::uint64_t> data(kPageSize);
+      const std::uint32_t id = tmk.id();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        // Every node rewrites its stride of every page: multi-writer pages.
+        for (std::size_t w = id; w < kWords; w += kNodes) data[w] = value(round, w);
+        tmk.barrier();
+        for (std::size_t w = 0; w < kWords; ++w) seen[id].push_back(data[w]);
+        tmk.barrier();
+      }
+    });
+    return seen;
+  };
+  const auto flat = reads(0);
+  EXPECT_EQ(reads(1), flat);
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    ASSERT_EQ(flat[n].size(), kRounds * kWords);
+    for (std::size_t round = 0; round < kRounds; ++round)
+      for (std::size_t w = 0; w < kWords; ++w)
+        ASSERT_EQ(flat[n][round * kWords + w], value(round, w))
+            << "node " << n << " round " << round << " word " << w;
+  }
 }
 
 // (b) Update pushes parked at interior nodes drain at the right barrier
