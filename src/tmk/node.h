@@ -136,8 +136,7 @@ class Node {
   // invalidates local copies (acquire side of lazy invalidate RC).
   void merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs);
   // Fetches and applies all unapplied diffs for a page (fault path).
-  // Returns whether a GC pin served any of them.
-  bool fetch_and_apply(PageIndex page, PageEntry& entry);
+  void fetch_and_apply(PageIndex page, PageEntry& entry);
   // Computes diff(twin, current) into the diff store and drops the twin.
   // Caller holds entry.mu; page must be readable.
   void materialize_twin(PageIndex page, PageEntry& entry);
@@ -177,8 +176,9 @@ class Node {
   // kGcArrive replies by vt_min, the root folds the global minima and fans
   // kGcDepart back down.  The departure carries two vectors:
   //  - floor: min over nodes of the log vt — every record at or below it is
-  //    globally known, exactly the barrier-GC invariant, so each node
-  //    truncates via the existing gc_raise_floor path;
+  //    globally known.  (A barrier's floor, the departure vector time, is
+  //    higher; both certify records every node holds, which is all the
+  //    shared gc_raise_floor path needs, so each node truncates through it);
   //  - ack:   min over nodes of the *validated* floor — every node has
   //    already resolved (pinned or applied) all notices at or below it, so
   //    the writer may destroy the diff sources themselves.  This replaces
@@ -364,14 +364,11 @@ class Node {
     std::uint32_t writer = 0;
     std::vector<std::uint32_t> seqs;
     std::vector<std::uint32_t> authors;  // empty: every seq is writer's own
-    bool read = false;  // validation only: the page's reader mark
   };
   // kDiffRequest flag bits, and the routed reply's marker (in the chunk
-  // count's place) for an interval the writer no longer holds.  With
-  // kDiffReqReads every page entry ends in one byte, its reader mark.
+  // count's place) for an interval the writer no longer holds.
   static constexpr std::uint8_t kDiffReqForGc = 1;
   static constexpr std::uint8_t kDiffReqRouted = 2;
-  static constexpr std::uint8_t kDiffReqReads = 4;
   static constexpr std::uint32_t kDiffStockMiss = 0xffffffffu;
   std::map<DiffKey, std::vector<DiffChunkView>> fetch_diffs(
       const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
@@ -403,6 +400,13 @@ class Node {
                                             // subtree's folded arrival
   void on_tree_depart(sim::Message&& m);    // combining-point duty: the
                                             // departure wave fanning down
+  // Update mode's tail of every barrier message: the reader marks of
+  // `marks` addressed to `writer` (all of them for kAllWriters), and the
+  // matching merge.  Empty (no bytes) when update mode is off.
+  using ReadMarks = std::map<std::pair<std::uint32_t, PageIndex>, std::uint64_t>;
+  static constexpr std::uint32_t kAllWriters = 0xffffffffu;
+  void put_marks(ByteWriter& w, const ReadMarks& marks, std::uint32_t writer);
+  void take_marks(ByteReader& r, ReadMarks& marks);
   // Shared tail of the arrival handlers: once the fan-in is complete, fold
   // the subtree and forward up (interior) or establish the global floor and
   // start the departure wave (root).
@@ -486,6 +490,13 @@ class Node {
   };
   std::mutex copyset_mu_;
   std::unordered_map<PageIndex, PageCopyset> copyset_;
+  // Reader side (compute thread only): page -> writers (bitmask) whose
+  // diffs served a read here that no kDiffRequest named — pins and
+  // backlogs of the GC validation pass (PageEntry::unheard_writers).  The
+  // next barrier arrival carries them, and its departure delivers them to
+  // those writers before they fold the epoch of the read: the same fold a
+  // fault-path request would have reached.
+  std::unordered_map<PageIndex, std::uint64_t> read_marks_;
   // Own intervals closed since the last barrier, by dirty page (compute
   // thread only): the candidate set of the barrier push pass.  Cleared at
   // every barrier, and at fork/join boundaries (barrier-free programs never
@@ -685,6 +696,11 @@ class Node {
       bool via_tree = false;
     };
     std::vector<Arrival> arrivals;
+    // Update mode's reader marks in flight, (writer, page) -> readers:
+    // merged from the arrivals, sent up with a combined arrival and back
+    // down with the departures (a node gets those addressed to it, a child
+    // combining point all of them).
+    ReadMarks marks;
   };
   struct MgrState {
     explicit MgrState(std::uint32_t n) : log(n) {}

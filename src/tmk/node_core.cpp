@@ -224,11 +224,8 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
   // writer folds an epoch's readers only after its own departure from the
   // barrier that ended it, by which point every fault-path request of that
   // epoch has been served (the requester could not have arrived otherwise).
-  // GC-validation fetches are flagged instead of recorded — fetching an
-  // epoch's diffs at its barrier is no evidence of a read — and name
-  // readers only through their marks.  A validation pass runs inside a
-  // barrier, after the count moved on, so its marks land in the *next*
-  // epoch's bucket: the one fold its writer cannot have run yet.
+  // GC-validation fetches are flagged instead of recorded: fetching an
+  // epoch's diffs at its barrier is no evidence of a read.
   const std::uint32_t epoch_tag = static_cast<std::uint32_t>(
       stats_.barriers.load(std::memory_order_relaxed));
 
@@ -248,13 +245,9 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
     const bool routed = std::any_of(
         writer_wants.begin(), writer_wants.end(),
         [](const DiffWant* want) { return !want->authors.empty(); });
-    // Likewise the reader-mark bytes, only when some page carries one.
-    const bool reads = std::any_of(writer_wants.begin(), writer_wants.end(),
-                                   [](const DiffWant* want) { return want->read; });
     ByteWriter w;
     w.u32(epoch_tag);
-    w.u8((for_gc ? kDiffReqForGc : 0) | (routed ? kDiffReqRouted : 0) |
-         (reads ? kDiffReqReads : 0));
+    w.u8((for_gc ? kDiffReqForGc : 0) | (routed ? kDiffReqRouted : 0));
     w.u32(static_cast<std::uint32_t>(writer_wants.size()));
     for (const DiffWant* want : writer_wants) {
       w.u32(want->page);
@@ -263,7 +256,6 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
         if (routed) w.u32(want->authors.empty() ? writer : want->authors[i]);
         w.u32(want->seqs[i]);
       }
-      if (reads) w.u8(want->read ? 1 : 0);
     }
     const std::uint64_t tok = rpc_.begin();
     sim::Message m;

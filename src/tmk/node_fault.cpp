@@ -46,6 +46,13 @@ void Node::handle_fault(void* addr) {
     case PageState::kInvalid: {
       stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
       lock_push_note_touch(page);
+      // Writers whose diffs reached this page without a request naming a
+      // read (validation pins, a backlog the validation pass applied) hear
+      // of this one as reader marks carried by the next barrier.
+      if (e.unheard_writers != 0) {
+        read_marks_[page] |= e.unheard_writers;
+        e.unheard_writers = 0;
+      }
       if (e.unapplied.empty()) {
         if (e.push_armed != PushKind::kNone) {
           // Armed push (either keying): the contents are already current,
@@ -58,11 +65,6 @@ void Node::handle_fault(void* addr) {
           // is the correct initial contents — no communication, as in
           // TreadMarks.
           stats_.cold_zero_fills.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // Contents already made current here (a validation pass applied
-          // the page's backlog, or a dead push was disarmed): a read no
-          // writer heard of.
-          e.unheard_read = true;
         }
         rt_.arena().protect_read(id_, page);
         e.state = PageState::kReadOnly;
@@ -70,13 +72,7 @@ void Node::handle_fault(void* addr) {
         return;  // a write access re-faults immediately and upgrades below
       }
       lock.unlock();
-      if (fetch_and_apply(page, e)) {
-        // GC pins served (part of) the read, so their writers never heard
-        // of it.  Marked here, not in fetch_and_apply, which checkpoint
-        // staging also runs.
-        std::lock_guard<std::mutex> relock(e.mu);
-        e.unheard_read = true;
-      }
+      fetch_and_apply(page, e);
       return;
     }
 
@@ -121,10 +117,9 @@ void Node::handle_fault(void* addr) {
   }
 }
 
-bool Node::fetch_and_apply(PageIndex page, PageEntry& e) {
+void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
   const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
   const std::size_t window = rt_.config().prefetch_pages;
-  bool pin_served = false;
   for (;;) {
     std::vector<UnappliedNotice> want;
     std::vector<UnappliedNotice> need;  // not already held in the diff cache
@@ -137,7 +132,7 @@ bool Node::fetch_and_apply(PageIndex page, PageEntry& e) {
           e.state = PageState::kReadOnly;
           e.ever_valid = true;
         }
-        return pin_served;
+        return;
       }
       want = e.unapplied;
       // Chunks already held locally — parked by a neighbor fault's prefetch,
@@ -149,7 +144,6 @@ bool Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
           ++cache_hits;
           if (ent->prefetched) ++pf_hits;
-          pin_served |= ent->pinned;
           // Reply bytes this hit avoids: the per-interval seq + chunk-count
           // header plus each chunk's length prefix and payload.  (A fully
           // suppressed request message saves more still; not counted.)
@@ -362,7 +356,7 @@ bool Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       rt_.arena().protect_read(id_, page);
       e.state = PageState::kReadOnly;
       e.ever_valid = true;
-      return pin_served;
+      return;
     }
     rt_.arena().protect_none(id_, page);
     e.state = PageState::kInvalid;

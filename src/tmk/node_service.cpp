@@ -126,8 +126,6 @@ void Node::on_diff_request(sim::Message&& m) {
   const std::uint8_t flags = r.u8();
   const bool for_gc = (flags & kDiffReqForGc) != 0;
   const bool routed = (flags & kDiffReqRouted) != 0;
-  const bool reads = (flags & kDiffReqReads) != 0;
-  const bool update_on = rt_.config().update_enabled();
   const std::uint32_t npages = r.u32();
   struct Entry {
     std::uint32_t author = 0;
@@ -138,7 +136,6 @@ void Node::on_diff_request(sim::Message&& m) {
   };
   std::vector<std::pair<PageIndex, std::vector<Entry>>> pages;
   pages.reserve(npages);
-  std::vector<PageIndex> read;  // pages naming the requester a reader
   for (std::uint32_t p = 0; p < npages; ++p) {
     const PageIndex page = r.u32();
     std::vector<Entry> entries(r.u32());
@@ -146,22 +143,22 @@ void Node::on_diff_request(sim::Message&& m) {
       en.author = routed ? r.u32() : id_;
       en.seq = r.u32();
     }
-    const bool read_mark = reads ? r.u8() != 0 : !for_gc;
-    if (read_mark && update_on) read.push_back(page);
     pages.emplace_back(page, std::move(entries));
   }
 
   // Copyset tracking: every fault-path request names the requester a reader
   // of each page it wants (the prefetch window included — an unconsumed
   // speculative page that gets promoted is demoted again by the reader's
-  // armed probe).  A GC-validation fetch is not itself a read — it fetches
-  // the epoch's diffs whether or not anyone will touch them — and names
-  // only the pages its reader marks carry: reads served from earlier pins,
-  // which no request told this writer about.
-  if (!read.empty()) {
+  // armed probe).  A GC-validation fetch is not a read — it fetches the
+  // epoch's diffs whether or not anyone will touch them; the reads its pins
+  // serve later reach this writer as reader marks, carried by the barrier
+  // that ends the reading epoch (see Node::barrier).
+  if (!for_gc && rt_.config().update_enabled()) {
     const std::uint64_t bit = std::uint64_t{1} << m.src;
     std::lock_guard<std::mutex> lock(copyset_mu_);
-    for (PageIndex page : read) copyset_[page].epoch_readers[epoch_tag & 1] |= bit;
+    for (const auto& [page, entries] : pages) {
+      copyset_[page].epoch_readers[epoch_tag & 1] |= bit;
+    }
   }
 
   // Materialize lazily if an interval's twin is still pending.  The page is

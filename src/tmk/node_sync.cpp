@@ -67,6 +67,13 @@ void Node::barrier() {
   // floor before merging or the delta would look non-contiguous.
   KnowledgeLog::serialize_vt(w, floor_applied);
   KnowledgeLog::serialize_records(w, delta);
+  // This epoch's unheard reads, one (writer, page) mark each.
+  ReadMarks marks;
+  for (const auto& [page, writers] : read_marks_)
+    for (std::uint32_t i = 0; i < num_nodes_; ++i)
+      if (writers >> i & 1) marks[{i, page}] |= std::uint64_t{1} << id_;
+  read_marks_.clear();
+  put_marks(w, marks, kAllWriters);
 
   stats_.barrier_msgs_sent.fetch_add(1, std::memory_order_relaxed);
   sim::Message reply = rpc_call(owner, kBarrierArrive, w.take());
@@ -74,6 +81,15 @@ void Node::barrier() {
   ByteReader r(reply.payload);
   const VectorTime floor = KnowledgeLog::deserialize_vt(r);
   merge_and_invalidate(KnowledgeLog::deserialize_records(r));
+  // Every node's unheard reads of this writer's pages in the epoch just
+  // ended join the bucket the fold below reads.
+  marks.clear();
+  take_marks(r, marks);
+  if (!marks.empty()) {
+    std::lock_guard<std::mutex> lock(copyset_mu_);
+    for (const auto& [key, readers] : marks)
+      copyset_[key.second].epoch_readers[epoch_done & 1] |= readers;
+  }
   // With the departure's write notices merged, pages whose pushed chunks
   // fully cover their wanted intervals come out of the barrier valid.
   if (update_on) update_land_pushed(epoch_done);
@@ -93,6 +109,7 @@ void Node::on_barrier_arrive(sim::Message&& m) {
   a.via_tree = false;
   mgr_gc_to(KnowledgeLog::deserialize_vt(r));
   mgr_.log.merge(KnowledgeLog::deserialize_records(r));
+  take_marks(r, mgr_.barrier.marks);
   mgr_.barrier.arrivals.push_back(std::move(a));
   tree_barrier_advance();
 }
@@ -113,6 +130,7 @@ void Node::on_tree_arrive(sim::Message&& m) {
   a.via_tree = true;
   mgr_gc_to(KnowledgeLog::deserialize_vt(r));
   mgr_.log.merge(KnowledgeLog::deserialize_records(r));
+  take_marks(r, mgr_.barrier.marks);
   mgr_.barrier.arrivals.push_back(std::move(a));
   tree_barrier_advance();
 }
@@ -145,6 +163,8 @@ void Node::tree_barrier_advance() {
     KnowledgeLog::serialize_records(
         w, mgr_.log.delta_since(vt_max(std::move(mgr_floor), tree_sent_up_vt_)));
     tree_sent_up_vt_ = mgr_.log.vt();
+    put_marks(w, mgr_.barrier.marks, kAllWriters);
+    mgr_.barrier.marks.clear();  // the departure brings them back down
     sim::Message up;
     up.type = kTreeArrive;
     up.src = id_;
@@ -169,6 +189,7 @@ void Node::tree_barrier_fan_down(const VectorTime& floor, std::uint64_t depart_t
     ByteWriter w;
     KnowledgeLog::serialize_vt(w, floor);
     KnowledgeLog::serialize_records(w, mgr_delta_since(arr.vt));
+    put_marks(w, mgr_.barrier.marks, arr.via_tree ? kAllWriters : arr.node);
     sim::Message depart;
     depart.type = arr.via_tree ? kTreeDepart : kBarrierDepart;
     depart.src = id_;
@@ -180,6 +201,7 @@ void Node::tree_barrier_fan_down(const VectorTime& floor, std::uint64_t depart_t
     rt_.net().send(std::move(depart));
   }
   mgr_.barrier.arrivals.clear();
+  mgr_.barrier.marks.clear();
   // Only now, with every delta cut: mgr_delta_since starts from the log's
   // floor, and this floor is the global vector time.
   if (rt_.config().gc_at_barriers) mgr_gc_to(floor);
@@ -196,11 +218,34 @@ void Node::on_tree_depart(sim::Message&& m) {
   ByteReader r(m.payload);
   const VectorTime floor = KnowledgeLog::deserialize_vt(r);
   mgr_.log.merge(KnowledgeLog::deserialize_records(r));
+  take_marks(r, mgr_.barrier.marks);
   tree_sent_up_vt_ = mgr_.log.vt();
   const std::uint64_t depart_ts =
       m.arrive_ts_ns +
       static_cast<std::uint64_t>(rt_.config().barrier_manager_us * 1000.0);
   tree_barrier_fan_down(floor, depart_ts);
+}
+
+void Node::put_marks(ByteWriter& w, const ReadMarks& marks, std::uint32_t writer) {
+  if (!rt_.config().update_enabled()) return;
+  std::uint32_t n = 0;
+  for (const auto& [key, readers] : marks) n += writer == kAllWriters || key.first == writer;
+  w.u32(n);
+  for (const auto& [key, readers] : marks) {
+    if (writer != kAllWriters && key.first != writer) continue;
+    w.u32(key.first);
+    w.u32(key.second);
+    w.u64(readers);
+  }
+}
+
+void Node::take_marks(ByteReader& r, ReadMarks& marks) {
+  if (!rt_.config().update_enabled()) return;
+  for (std::uint32_t n = r.u32(); n > 0; --n) {
+    const std::uint32_t writer = r.u32();
+    const PageIndex page = r.u32();
+    marks[{writer, page}] |= r.u64();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +375,6 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     PageIndex page = 0;
     std::vector<UnappliedNotice> old;                       // every old notice
     std::map<std::uint32_t, std::vector<std::uint32_t>> fetch;  // writer -> seqs
-    bool read = false;  // carries the page's reader mark to its writers
   };
   const bool update_on = rt_.config().update_enabled();
   std::vector<PageWork> work;
@@ -345,6 +389,9 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     for (const UnappliedNotice& n : e.unapplied) {
       if (n.seq > floor[n.writer]) continue;
       w.old.push_back(n);
+      // The pin (or the over-budget apply below) will serve this page's
+      // next read without its writer hearing of it.
+      if (update_on) e.unheard_writers |= std::uint64_t{1} << n.writer;
       // Already held locally: pinned by a previous GC pass (no fault
       // consumed it yet), or parked as a *droppable* entry by a fault's
       // prefetch window — promoted to a pin in place, because its writer is
@@ -352,13 +399,6 @@ void Node::gc_validate_pages(const VectorTime& floor) {
       // survivor.
       if (e.diff_cache.pin_existing(n.writer, n.seq)) continue;
       w.fetch[n.writer].push_back(n.seq);
-    }
-    // Update mode: the request to the page's writers is what tells them of
-    // reads they never heard of; a page with nothing to fetch keeps its mark
-    // for a later request.
-    if (update_on && e.unheard_read && !w.fetch.empty()) {
-      w.read = true;
-      e.unheard_read = false;
     }
     if (!w.old.empty()) work.push_back(std::move(w));
   }
@@ -373,7 +413,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<DiffWant> wants;
   for (const PageWork& w : work)
     for (const auto& [writer, seqs] : w.fetch)
-      wants.push_back({w.page, writer, seqs, {}, w.read});
+      wants.push_back({w.page, writer, seqs, {}});
   std::vector<sim::Message> replies;
   auto got = fetch_diffs(wants, replies, /*for_gc=*/true);
 
@@ -455,9 +495,11 @@ void Node::gc_validate_pages(const VectorTime& floor) {
 //     kGcArrive replies by vt_min, sends the fold up
 //   root folds the global (floor, ack), fans kGcDepart down
 //
-// The departure's floor is min-over-nodes of the log vt — exactly the
-// barrier fold's invariant, so truncation and validation reuse the PR 2/5
-// machinery unchanged (gc_raise_floor).  The ack is min-over-nodes of the
+// The departure's floor is min-over-nodes of the log vt: every record at or
+// below it is globally known.  A barrier's floor is higher — the departure
+// vector time, which every node holds once departed — but both certify
+// records every node holds, which is all the shared truncation and
+// validation path (gc_raise_floor) needs.  The ack is min-over-nodes of the
 // *validated* floor: every node has already resolved (pinned or applied)
 // all notices at or below it, so writers may destroy the diff sources for
 // their own component immediately — replacing the barrier path's one-epoch

@@ -295,11 +295,17 @@ struct PageEntry {
 
   PageState state = PageState::kInvalid;
   bool ever_valid = false;  // false => local copy is the initial zero page
+  bool twin_valid = false;  // whether `twin` below holds a twin
 
   // Twin for the currently writable / pending interval (at most one; older
   // intervals' diffs are already materialized in the diff store).
   PendingTwin twin;
-  bool twin_valid = false;
+
+  // Update mode's unheard writers (bitmask by node): writers whose diffs
+  // the GC validation pass pinned or applied here without any request
+  // naming a read.  The next read fault moves them into the node's reader
+  // marks, which the next barrier carries to those writers' copysets.
+  std::uint64_t unheard_writers = 0;
 
   // Write notices to apply at the next fault, sorted on use by lamport.
   std::vector<UnappliedNotice> unapplied;
@@ -316,12 +322,6 @@ struct PageEntry {
   // or this node's release of the pushing lock) was a dead push, and the
   // pushers are denied (kPushDeny).
   PushKind push_armed = PushKind::kNone;
-  // Update mode's reader mark (guarded by mu, compute thread only): a read
-  // fault was served from contents this node made current without asking
-  // the page's writers — GC pins, or a backlog the validation pass applied
-  // — so no writer's copyset heard of the read.  The page's next validation
-  // request carries the mark to its writers and clears it.
-  bool unheard_read = false;
   // Pushes applied to this page since the last denial; schedules the armed
   // probes (every Nth applied push, N per keying — the ones in between
   // validate outright).

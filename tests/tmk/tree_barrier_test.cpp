@@ -272,7 +272,10 @@ TEST(TreeBarrier, UpdatePushesDrainAtInteriorNodes) {
     }
   });
   const auto total = rt.total_stats();
-  EXPECT_GT(total.update_pushes_sent, 0u);
+  // Both readers' marks reach the writer through the combining points in
+  // time for each read epoch's fold: every epoch after promotion is pushed
+  // to both.
+  EXPECT_EQ(total.update_pushes_sent, 2 * (10 - c.update_promote_epochs));
   EXPECT_GT(total.update_push_hits, 0u);
   // The interior reader specifically consumed pushes (parked by its service
   // thread, drained by its compute thread at the matching barrier index).

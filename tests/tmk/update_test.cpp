@@ -62,9 +62,11 @@ TEST(UpdateProtocol, PromotionAfterStableEpochs) {
     push = rt.total_stats();
   }
   EXPECT_EQ(pull.update_pushes_sent, 0u);
-  // Promotion takes 2 stable epochs + 1 epoch of lag before the first push:
-  // at least 6 of the 10 epochs ride the push path.
-  EXPECT_GE(push.update_pushes_sent, 6u);
+  // Promotion takes update_promote_epochs read epochs, then every epoch
+  // rides the push path.  The reads are served from the barrier validation
+  // pass's pins, so no kDiffRequest names the reader: its marks ride the
+  // barrier ending each read epoch, in time for that epoch's fold.
+  EXPECT_EQ(push.update_pushes_sent, kEpochs - DsmConfig{}.update_promote_epochs);
   EXPECT_GE(push.update_pages_pushed, 6u * kPages);
   // Every pushed epoch's pages come out valid (or armed and locally
   // validated); none of them pay a fetch round trip.
