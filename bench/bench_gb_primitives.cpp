@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "mpi/mpi.h"
+#include "omp/omp.h"
 #include "tmk/diff.h"
 #include "tmk/intervals.h"
 #include "tmk/tmk.h"
@@ -136,6 +138,31 @@ void BM_DsmRuntimeSetup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DsmRuntimeSetup)->Unit(benchmark::kMillisecond);
+
+// The other two runtime kinds the repository benchmark's set-up sample
+// builds per pass, on the same 4-node shape: the OpenMP layer (a DSM
+// runtime plus its fork-join team) and the MPI baseline (one thread per
+// rank).  Together with the DSM probe they split that sample by kind.
+void BM_OmpRuntimeSetup(benchmark::State& state) {
+  now::tmk::DsmConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.heap_bytes = std::size_t{96} << 20;
+  for (auto _ : state) {
+    now::omp::OmpRuntime rt(cfg);
+    rt.run([](now::omp::Team&) {});
+  }
+}
+BENCHMARK(BM_OmpRuntimeSetup)->Unit(benchmark::kMillisecond);
+
+void BM_MpiRuntimeSetup(benchmark::State& state) {
+  now::mpi::MpiConfig cfg;
+  cfg.num_ranks = 4;
+  for (auto _ : state) {
+    now::mpi::MpiRuntime rt(cfg);
+    rt.run([](now::mpi::Comm&) {});
+  }
+}
+BENCHMARK(BM_MpiRuntimeSetup)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,7 +1,8 @@
 #include "mpi/mpi.h"
 
 #include <algorithm>
-#include <thread>
+
+#include "common/worker_pool.h"
 
 namespace now::mpi {
 
@@ -14,7 +15,7 @@ void MpiRuntime::run(const std::function<void(Comm&)>& fn) {
   clocks_.clear();
   for (auto& c : comms) clocks_.push_back(&c->clock());
 
-  std::vector<std::thread> threads;
+  std::vector<PooledThread> threads;
   threads.reserve(cfg_.num_ranks);
   for (std::uint32_t r = 0; r < cfg_.num_ranks; ++r) {
     threads.emplace_back([&, r] {

@@ -10,12 +10,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "simnet/clock.h"
 #include "simnet/network.h"
 #include "tmk/config.h"
@@ -288,16 +288,24 @@ class Node {
   // ---- lock keying: the migratory lock push, on the kLockGrant chain ----
   // Fault-time attribution: records the faulted page against every lock the
   // compute thread currently holds (compute thread only; builds the per-CS
-  // touch sets the release folds).
+  // touch sets the release folds and the next grant's batch reads).
   void lock_push_note_touch(PageIndex page);
   // Critical-section bracket: maintains held_locks_ (which routes faults and
-  // keeps relay stock whatever the config).  With lock push on, begin also
-  // starts the touch attribution for the lock, and end folds the section's
-  // touch set into the lock's protected set — touched pages (re)gain
-  // membership, member pages untouched for lock_push_probe consecutive own
-  // CSes decay out — and judges the pushes this acquire landed.
+  // keeps relay stock) and the section's touch list, whatever the config:
+  // begin starts the list, end folds it into the lock's touch history.  With
+  // lock push on, end also folds it into the lock's protected set — touched
+  // pages (re)gain membership, member pages untouched for lock_push_probe
+  // consecutive own CSes decay out — and judges the pushes this acquire
+  // landed.
   void lock_push_begin_cs(std::uint32_t lock_id);
   void lock_push_end_cs(std::uint32_t lock_id);
+  // Grant side of the critical-section batch: the pages other nodes'
+  // records in the grant's delta name that this node touched in an earlier
+  // critical section of the lock join cs_batch_, for the section's first
+  // diff request to fold in whichever of them are still invalid (those
+  // inside that fault's prefetch window follow the window's rule).
+  void lock_batch_plan(std::uint32_t lock_id,
+                       const std::vector<IntervalRecordPtr>& delta);
   // Granter side: appends the push section to a kLockGrant payload — per
   // member page of the lock named by the delta, every delta entry this node
   // holds as diffs (own intervals from the diff store, relayed ones from
@@ -642,11 +650,18 @@ class Node {
       lock_protect_;
   // Critical sections (compute thread only): the locks the compute thread
   // currently holds — a fault taken while any is held is routed and keeps
-  // its chunks as relay stock — and, with lock push on, per held lock the
-  // pages it faulted or wrote since acquiring it (folded into lock_protect_
-  // at release).
+  // its chunks as relay stock — and per held lock the pages it faulted or
+  // wrote since acquiring it (folded at release into lock_history_, and into
+  // lock_protect_ with lock push on).
   std::vector<std::uint32_t> held_locks_;
   std::unordered_map<std::uint32_t, std::vector<PageIndex>> cs_touched_;
+  // Per lock, the sorted pages touched in any earlier critical section of
+  // it: what lock_batch_plan may fold into a section's first request.
+  std::unordered_map<std::uint32_t, std::vector<PageIndex>> lock_history_;
+  // Sorted pages the current critical section's first diff request also
+  // fetches (lock_batch_plan); cleared once that request is sent, or at
+  // release.
+  std::vector<PageIndex> cs_batch_;
 
   // ---- lock client state (lock_client_mu_) ----
   struct PendingGrant {
@@ -745,7 +760,7 @@ class Node {
   WaitSlot join_slot_;   // master: kJoin arrivals
 
   RpcClient rpc_;
-  std::thread service_thread_;
+  PooledThread service_thread_;
   Rng stress_rng_;
 
   friend class DsmRuntime;

@@ -29,7 +29,7 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
 Node::~Node() = default;
 
 void Node::start_service() {
-  service_thread_ = std::thread([this] { service_main(); });
+  service_thread_ = PooledThread([this] { service_main(); });
 }
 
 void Node::join_service() {

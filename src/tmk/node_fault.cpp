@@ -204,16 +204,37 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // touches the cache.  Nothing here reorders consistency: the neighbor's
     // chunks are parked in its cache and applied, in lamport order, by its
     // own fault.
+    //
+    // Critical-section batch: the first request a critical section sends
+    // also carries the lock's other pages the grant invalidated (cs_batch_)
+    // that lie outside the window (inside it, the window's rule holds).
+    // Inside a critical section the request goes to one writer — the
+    // chain's latest — so each batch page names *every* wanted interval in
+    // the routed layout, as a routed fault of its own would; an entry that
+    // writer no longer holds comes back missing and is dropped (the page's
+    // own fault fetches it), so a wrong guess costs reply bytes and never a
+    // message.
     struct PrefetchPage {
       PageIndex page = 0;
+      bool batch = false;  // a routed batch entry may miss
       std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;  // (writer, seq)
     };
     std::vector<PrefetchPage> prefetch;
-    if (window > 0 && !wants.empty()) {
+    const bool batching = !cs_batch_.empty() && by_writer.size() == 1;
+    if (!wants.empty()) {
       const std::size_t num_pages = rt_.config().num_pages();
       const PageIndex last = static_cast<PageIndex>(
           std::min<std::size_t>(page + window, num_pages - 1));
-      for (PageIndex q = page + 1; q <= last; ++q) {
+      // Window pages first, then the batch pages outside the window.
+      std::vector<PageIndex> cands;
+      for (PageIndex q = page + 1; q <= last; ++q) cands.push_back(q);
+      const std::size_t window_cands = cands.size();
+      if (batching)
+        for (PageIndex q : cs_batch_)
+          if (q < page || q > last) cands.push_back(q);
+      const std::uint32_t contacted = by_writer.begin()->first;
+      for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+        const PageIndex q = cands[ci];
         // A neighbor whose chunk is absent was never touched here: no
         // notices, nothing to prefetch, and no reason to allocate it.
         PageEntry* qp = pages_.find(q);
@@ -223,22 +244,34 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         if (qe.state != PageState::kInvalid || qe.unapplied.empty()) continue;
         PrefetchPage pp;
         pp.page = q;
+        pp.batch = ci >= window_cands;
         std::map<std::uint32_t, std::vector<std::uint32_t>> q_by_writer;
         for (const auto& n : qe.unapplied) {
-          if (by_writer.find(n.writer) == by_writer.end()) continue;
+          if (!pp.batch && by_writer.find(n.writer) == by_writer.end()) continue;
           if (qe.diff_cache.find(n.writer, n.seq) != nullptr) continue;
           q_by_writer[n.writer].push_back(n.seq);
           pp.entries.emplace_back(n.writer, n.seq);
         }
         if (pp.entries.empty()) continue;
-        for (auto& [writer, seqs] : q_by_writer)
-          wants.push_back({q, writer, std::move(seqs), {}});
+        if (pp.batch && (q_by_writer.size() > 1 ||
+                         q_by_writer.begin()->first != contacted)) {
+          DiffWant dw{q, contacted, {}, {}};
+          for (const auto& [writer, seq] : pp.entries) {
+            dw.seqs.push_back(seq);
+            dw.authors.push_back(writer);
+          }
+          wants.push_back(std::move(dw));
+        } else {
+          for (auto& [writer, seqs] : q_by_writer)
+            wants.push_back({q, writer, std::move(seqs), {}});
+        }
         prefetch.push_back(std::move(pp));
       }
       if (!prefetch.empty())
         stats_.prefetch_requests_batched.fetch_add(prefetch.size(),
                                                    std::memory_order_relaxed);
     }
+    if (!wants.empty()) cs_batch_.clear();  // the section's first request
 
     std::vector<sim::Message> replies;
     std::vector<DiffKey> misses;
@@ -247,17 +280,24 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       // Second round: the routed writer's stock no longer held these (FIFO
       // eviction, a floor's prune, or a concurrent writer it never applied).
       // Every author still holds its own diff, so correctness never rests
-      // on the stock.  Only the faulting page is routed, so only its
-      // intervals can miss.
+      // on the stock.  The faulting page's misses are refetched now; a
+      // batch page's are dropped, for its own fault to fetch.
       std::map<std::uint32_t, std::vector<std::uint32_t>> miss_by_writer;
       for (const auto& [mpage, writer, seq] : misses) {
-        NOW_CHECK_EQ(mpage, page);
+        if (mpage != page) {
+          NOW_CHECK(std::any_of(prefetch.begin(), prefetch.end(),
+                                [mpage = mpage](const PrefetchPage& pp) {
+                                  return pp.batch && pp.page == mpage;
+                                }))
+              << "stock miss for page " << mpage << " outside the batch";
+          continue;
+        }
         miss_by_writer[writer].push_back(seq);
       }
       std::vector<DiffWant> retry;
       for (auto& [writer, seqs] : miss_by_writer)
         retry.push_back({page, writer, std::move(seqs), {}});
-      got.merge(fetch_diffs(retry, replies));
+      if (!retry.empty()) got.merge(fetch_diffs(retry, replies));
     }
 
     // Park the prefetched chunks in their pages' caches for the neighbor's
@@ -272,6 +312,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       bool filled = false;
       for (const auto& [writer, seq] : pp.entries) {
         auto it = got.find({pp.page, writer, seq});
+        if (it == got.end() && pp.batch) continue;  // a dropped stock miss
         NOW_CHECK(it != got.end())
             << "writer " << writer << " had no diff for prefetched page "
             << pp.page << " interval " << seq;

@@ -15,6 +15,7 @@
 // deny the pusher (kPushDeny) -> demote with exponential re-admission
 // backoff (PushAdmission).
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "common/bytes.h"
@@ -476,24 +477,31 @@ void Node::lock_push_note_touch(PageIndex page) {
   // Critical-section attribution: the faulted page belongs to every lock
   // this compute thread currently holds.  A fault outside any critical
   // section pays a single empty-vector check.
-  if (held_locks_.empty() || !rt_.config().lock_push_enabled()) return;
   for (std::uint32_t lock_id : held_locks_) cs_touched_[lock_id].push_back(page);
 }
 
 void Node::lock_push_begin_cs(std::uint32_t lock_id) {
   held_locks_.push_back(lock_id);
-  if (rt_.config().lock_push_enabled()) cs_touched_[lock_id].clear();
+  cs_touched_[lock_id].clear();
 }
 
 void Node::lock_push_end_cs(std::uint32_t lock_id) {
   held_locks_.erase(std::remove(held_locks_.begin(), held_locks_.end(), lock_id),
                     held_locks_.end());
-  if (!rt_.config().lock_push_enabled()) return;
-  std::vector<PageIndex> touched;
-  auto tit = cs_touched_.find(lock_id);
-  if (tit != cs_touched_.end()) touched = std::move(tit->second);
+  cs_batch_.clear();  // an unsent batch does not outlive its section
+  std::vector<PageIndex>& touched = cs_touched_[lock_id];
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::vector<PageIndex>& history = lock_history_[lock_id];
+  if (!std::includes(history.begin(), history.end(), touched.begin(),
+                     touched.end())) {
+    std::vector<PageIndex> merged;
+    merged.reserve(history.size() + touched.size());
+    std::set_union(history.begin(), history.end(), touched.begin(),
+                   touched.end(), std::back_inserter(merged));
+    history = std::move(merged);
+  }
+  if (!rt_.config().lock_push_enabled()) return;
 
   const std::uint32_t probe =
       std::max<std::uint32_t>(1, rt_.config().lock_push_probe);
@@ -531,6 +539,25 @@ void Node::lock_push_end_cs(std::uint32_t lock_id) {
   // Judged after the fold, before any grant can be assembled for this
   // release: the grant reads the protected set the fold just updated.
   push_judge(lock_id);
+}
+
+void Node::lock_batch_plan(std::uint32_t lock_id,
+                           const std::vector<IntervalRecordPtr>& delta) {
+  // Only pages this node touched under the lock before: a page the delta
+  // names because its writer rewrote it outside the critical section (a
+  // task's data, as opposed to the queue guarding it) is not migrating
+  // along the chain, and fetching it here would only cost reply bytes.
+  auto it = lock_history_.find(lock_id);
+  if (it == lock_history_.end()) return;
+  const std::vector<PageIndex>& history = it->second;
+  for (const IntervalRecordPtr& rec : delta) {
+    if (rec->node == id_) continue;
+    for (PageIndex pg : rec->pages)
+      if (std::binary_search(history.begin(), history.end(), pg))
+        cs_batch_.push_back(pg);
+  }
+  std::sort(cs_batch_.begin(), cs_batch_.end());
+  cs_batch_.erase(std::unique(cs_batch_.begin(), cs_batch_.end()), cs_batch_.end());
 }
 
 void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,

@@ -766,7 +766,9 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
   ByteReader r(grant.payload);
   const std::uint32_t lock_id = r.u32();
   const VectorTime floor = KnowledgeLog::deserialize_vt(r);
-  merge_and_invalidate(KnowledgeLog::deserialize_records(r));
+  const auto delta = KnowledgeLog::deserialize_records(r);
+  merge_and_invalidate(delta);
+  lock_batch_plan(lock_id, delta);
   arrive(grant);
   // The push section must land after the merge (the pushed diffs cover the
   // write notices the records just created) and runs on this compute thread,

@@ -1,11 +1,11 @@
 #include "tmk/runtime.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/log.h"
+#include "common/worker_pool.h"
 #include "tmk/msgs.h"
 
 namespace now::tmk {
@@ -43,7 +43,7 @@ void DsmRuntime::handle_fault(void* addr) {
 RunReport DsmRuntime::run_spmd(const std::function<void(Tmk&)>& fn) {
   RunReport report;
   for (;;) {
-    std::vector<std::thread> threads;
+    std::vector<PooledThread> threads;
     threads.reserve(cfg_.num_nodes);
     for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
       threads.emplace_back([this, i, &fn] {
@@ -59,6 +59,7 @@ RunReport DsmRuntime::run_spmd(const std::function<void(Tmk&)>& fn) {
           // failure report) starts only after every thread quiesced.
         }
         n.sync_cpu();
+        detail::region_base() = nullptr;  // the worker goes back to the pool
       });
     }
     for (auto& t : threads) t.join();

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/worker_pool.h"
 #include "tmk/tmk.h"
 
 namespace now::tmk {
@@ -335,6 +336,77 @@ TEST(Crash, DuringCeilingGcExchangeRecoversByteIdentical) {
     EXPECT_EQ(rep.recoveries, 1u) << "crash_at " << at;
     EXPECT_EQ(mem, ref) << "crash_at " << at;
   }
+}
+
+// Runtime threads are parked workers that later runtimes reuse
+// (common/worker_pool.h).  A crash unwinds the victim's threads and the
+// survivors' — a survivor blocked in a fault's fetch unwinds out of the
+// SIGSEGV handler with SIGSEGV still blocked — so every reused worker must
+// start its next task with a clean signal mask: a fresh runtime after the
+// crash legs runs a fault-heavy program to completion, on reused workers
+// only.
+TEST(Crash, FreshRuntimeAfterCrashesFaultsOnReusedWorkers) {
+  constexpr std::size_t kRounds = 6;
+  const std::vector<std::uint64_t> ref = reference_mem(kRounds);
+  for (std::uint32_t at : {2u, 7u, 11u}) {
+    DsmConfig c = crash_cfg();
+    c.ckpt_every = ckpt_cadence();
+    c.net_crash_node = 1;
+    c.net_crash_at = at;
+    RunResult r = run_chaos(c, kRounds);
+    EXPECT_TRUE(r.report.node_down) << "crash_at " << at;
+    EXPECT_EQ(r.mem, ref) << "crash_at " << at;
+  }
+
+  // Every node rewrites its run of every page, then reads everyone's runs:
+  // each round faults every page on every node (read, then write upgrade).
+  constexpr std::size_t kPages = 32;
+  constexpr std::size_t kRun = kWpp / kNodes;
+  constexpr std::size_t kFaultRounds = 4;
+  const std::uint64_t started = PooledThread::threads_started();
+  std::vector<std::uint64_t> sums(kNodes, 0);
+  DsmRuntime rt(crash_cfg());
+  const RunReport rep = rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> heap(kPageSize);
+    const std::uint32_t id = tmk.id();
+    std::uint64_t sum = 0;
+    for (std::size_t r = 0; r < kFaultRounds; ++r) {
+      for (std::size_t p = 0; p < kPages; ++p)
+        for (std::size_t k = 0; k < kRun; ++k)
+          heap[p * kWpp + id * kRun + k] = r * 1000000 + p * 1000 + id * 100 + k;
+      tmk.barrier();
+      for (std::size_t p = 0; p < kPages; ++p)
+        for (std::size_t w = 0; w < kNodes * kRun; ++w) sum += heap[p * kWpp + w];
+      tmk.barrier();
+    }
+    sums[id] = sum;
+  });
+  EXPECT_TRUE(rep.completed);
+  EXPECT_EQ(PooledThread::threads_started(), started);  // reused workers only
+  EXPECT_GE(rt.total_stats().read_faults, kNodes * kPages);
+  std::uint64_t want = 0;
+  for (std::size_t r = 0; r < kFaultRounds; ++r)
+    for (std::size_t p = 0; p < kPages; ++p)
+      for (std::uint32_t n = 0; n < kNodes; ++n)
+        for (std::size_t k = 0; k < kRun; ++k)
+          want += r * 1000000 + p * 1000 + n * 100 + k;
+  for (std::uint32_t n = 0; n < kNodes; ++n) EXPECT_EQ(sums[n], want) << "node " << n;
+}
+
+// Back-to-back runtimes hand their threads on: after the first, the pool
+// already holds every worker the next one needs.
+TEST(Crash, BackToBackRuntimesCreateOneRuntimesThreads) {
+  auto one_runtime = [] {
+    DsmRuntime rt(crash_cfg());
+    rt.run_spmd([](Tmk& tmk) { tmk.barrier(); });
+  };
+  const std::uint64_t before = PooledThread::threads_started();
+  one_runtime();
+  const std::uint64_t warmed = PooledThread::threads_started();
+  for (int i = 0; i < 50; ++i) one_runtime();
+  // One runtime needs a service and a compute thread per node.
+  EXPECT_LE(PooledThread::threads_started() - before, 2 * kNodes);
+  EXPECT_EQ(PooledThread::threads_started(), warmed);
 }
 
 }  // namespace
