@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -37,6 +36,14 @@ struct Tmk;
 // to shared variables and initial values of firstprivate variables").
 using ForkFn = void (*)(Tmk&, const void* arg, std::size_t arg_size);
 
+// Threads and the protocol lock.  A node has two threads: the compute thread
+// running the application, and the service thread answering peers (in
+// TreadMarks, a SIGIO handler on the one process).  All node state sits
+// under one mutex, proto_mu_, as TreadMarks masks SIGIO while the library
+// edits it: the service thread holds it for each handle_message, the compute
+// thread for each runtime entry (a Tmk_* call, a fault).  The compute thread
+// gives it up only where it blocks — RpcClient::wait and WaitSlot::take —
+// so its own service thread can serve the peers it is waiting on.
 class Node {
  public:
   Node(DsmRuntime& rt, std::uint32_t id);
@@ -79,9 +86,11 @@ class Node {
   DsmStats& stats() { return stats_; }
 
   // Consistency-metadata footprint, for the barrier-GC plateau tests and
-  // benches.  Taken under the owning mutexes; the manager-duty log is
-  // deliberately excluded (service-thread-owned, lock-free) — its reclaim
+  // benches.  The manager-duty log is deliberately excluded — its reclaim
   // activity shows up in the gc_records_reclaimed counter instead.
+  //
+  // This accessor and the ones below take the protocol lock themselves;
+  // runtime code that already holds it reads the fields directly.
   struct MetaFootprint {
     std::size_t log_records = 0;        // knowledge-log interval records held
     std::size_t log_bytes = 0;          // serialized bytes of those records
@@ -102,7 +111,7 @@ class Node {
   MetaFootprint meta_footprint();
   // Page-table chunks this node has allocated (kPageChunkPages pages each).
   // Host memory, not consistency metadata: outside MetaFootprint.
-  std::size_t page_chunks() const { return pages_.chunks(); }
+  std::size_t page_chunks();
   // This node's knowledge-log vector time.
   VectorTime vector_time();
   // Floor most recently applied by gc_at_barrier (piggybacked on messages
@@ -127,6 +136,22 @@ class Node {
   void sync_cpu();
 
  private:
+  // Holds proto_mu_ for one runtime entry or one service handler.  Taking it
+  // again on the thread that already holds it fails loudly instead of
+  // deadlocking: the case that matters is runtime code holding the lock
+  // and touching a protected page, whose fault would re-enter the runtime.
+  class ProtoGuard {
+   public:
+    explicit ProtoGuard(Node& node);
+    ~ProtoGuard();
+    ProtoGuard(const ProtoGuard&) = delete;
+    ProtoGuard& operator=(const ProtoGuard&) = delete;
+
+   private:
+    Node& node_;
+  };
+  std::mutex proto_mu_;
+
   // ---------- consistency engine (compute thread) ----------
   // Ends the open interval at a release: appends the interval record with the
   // dirty pages as write notices and write-protects them (diffs materialize
@@ -138,9 +163,9 @@ class Node {
   // Fetches and applies all unapplied diffs for a page (fault path).
   void fetch_and_apply(PageIndex page, PageEntry& entry);
   // Computes diff(twin, current) into the diff store and drops the twin.
-  // Caller holds entry.mu; page must be readable.
+  // The page must be readable.
   void materialize_twin(PageIndex page, PageEntry& entry);
-  void invalidate_page(PageIndex page, PageEntry& entry);  // holds entry.mu
+  void invalidate_page(PageIndex page, PageEntry& entry);
 
   // ---------- barrier-time GC (compute thread, on barrier departure) ----------
   // Applies the departure's floor — the vector time every node holds once
@@ -157,7 +182,7 @@ class Node {
   // The validation pass of gc_apply_floor: fetch + pin old diffs.
   void gc_validate_pages(const VectorTime& floor);
   // Raises the manager-duty log's floor to a sender's piggybacked floor
-  // before merging its delta (service thread only).
+  // before merging its delta (service thread).
   void mgr_gc_to(const VectorTime& floor);
   // Applies a floor learned off the lock-grant chain (compute thread): raise
   // the knowledge-log floor, sent-caches and validate pages — but never the
@@ -187,7 +212,7 @@ class Node {
   //    already finished.
   // Handlers run on the service thread and never block; the results are
   // parked and applied by the compute thread at its next sync operation
-  // (gc_poll), keeping the page diff caches compute-thread-only.
+  // (gc_poll), whose validation pass may fetch and so block.
 
   // O(1) ceiling metric: log bytes + diff store bytes + diff cache bytes.
   std::size_t meta_bytes();
@@ -199,11 +224,11 @@ class Node {
   // or the previous barrier floor (compute thread; raises gc_reclaimed_seq_
   // only — gc_drop_seq_ stays barrier-owned).
   void gc_reclaim_store_to(std::uint32_t ack_seq);
-  // Relay stock: relay_keep marks an entry of `page`'s diff cache (caller
-  // holds e.mu) as stock and indexes it; relay_prune drops the stock the
-  // floor covers — validation resolved those notices and every future grant
-  // delta is cut above the floor, so no fault or routed request can want
-  // them again — in time proportional to what it drops.
+  // Relay stock: relay_keep marks an entry of `page`'s diff cache as stock
+  // and indexes it; relay_prune drops the stock the floor covers —
+  // validation resolved those notices and every future grant delta is cut
+  // above the floor, so no fault or routed request can want them again — in
+  // time proportional to what it drops.
   void relay_keep(PageIndex page, PageEntry& e, std::uint32_t writer,
                   std::uint32_t seq);
   void relay_prune(const VectorTime& floor);
@@ -242,12 +267,12 @@ class Node {
     std::uint64_t applied = 0;
     std::map<std::uint32_t, std::vector<PageIndex>> deny;  // pusher -> pages
   };
-  // The one landing routine (compute thread, under the page's mu): park the
-  // chunks in the page's diff cache, keyed (writer, seq); deny `pushers` if
-  // the budget rejected every chunk; nothing more on a page already valid;
-  // apply in lamport order only when every unapplied notice is covered
-  // (otherwise the partial push is judged); then arm or validate.  The lock
-  // keying retains applied droppable chunks as relay stock.
+  // The one landing routine (compute thread): park the chunks in the page's
+  // diff cache, keyed (writer, seq); deny `pushers` if the budget rejected
+  // every chunk; nothing more on a page already valid; apply in lamport
+  // order only when every unapplied notice is covered (otherwise the
+  // partial push is judged); then arm or validate.  The lock keying retains
+  // applied droppable chunks as relay stock.
   void push_land(std::uint32_t key, PageIndex page,
                  const std::vector<std::uint32_t>& pushers,
                  std::vector<PushedChunk>& chunks, PushBatch& b);
@@ -263,6 +288,9 @@ class Node {
   // armed, or partially covered and still invalid with unapplied notices,
   // was a dead push and is denied to its pushers.
   void push_judge(std::uint32_t key);
+  // push_deny's body, for callers already holding the lock.
+  void send_denies(std::uint32_t key,
+                   const std::map<std::uint32_t, std::vector<PageIndex>>& deny);
   // A probe fault consumed an armed page: count the arming keying's hit.
   void push_hit(PushKind kind);
 
@@ -287,8 +315,8 @@ class Node {
 
   // ---- lock keying: the migratory lock push, on the kLockGrant chain ----
   // Fault-time attribution: records the faulted page against every lock the
-  // compute thread currently holds (compute thread only; builds the per-CS
-  // touch sets the release folds and the next grant's batch reads).
+  // compute thread currently holds (builds the per-CS touch sets the release
+  // folds and the next grant's batch reads).
   void lock_push_note_touch(PageIndex page);
   // Critical-section bracket: maintains held_locks_ (which routes faults and
   // keeps relay stock) and the section's touch list, whatever the config:
@@ -342,7 +370,6 @@ class Node {
   // a barrier: nobody proceeds until the root promoted the epoch, so no
   // page mutates while peers are still staging.
   void ckpt_at_barrier(std::uint64_t epoch_done);
-  void on_ckpt_query(sim::Message&& m);   // service: stage own sema counts
   void on_ckpt_commit(sim::Message&& m);  // service, root: park + promote at N
   // Recovery (runtime, while the cluster is quiesced): installs one durable
   // page image as this node's initial state — content resident, kReadOnly,
@@ -448,7 +475,7 @@ class Node {
 
   // ---- page table (chunks allocated on first touch) ----
   PageTable pages_;
-  std::vector<PageIndex> dirty_pages_;  // open interval's writes (compute only)
+  std::vector<PageIndex> dirty_pages_;  // open interval's writes
 
   // ---- diff store: (page, own interval seq) -> diff chunks ----
   // The key packing is load-bearing across every producer and consumer of
@@ -456,7 +483,6 @@ class Node {
   static std::uint64_t diff_store_key(PageIndex page, std::uint32_t seq) {
     return (static_cast<std::uint64_t>(page) << 32) | seq;
   }
-  std::mutex store_mu_;
   std::unordered_map<std::uint64_t, std::vector<DiffBytes>> diff_store_;
 
   // ---- push engine: admission, pending pushes, judge lists ----
@@ -484,37 +510,36 @@ class Node {
       return true;
     }
   };
-  // Barrier keying, writer side (copyset_mu_): which nodes read the page
-  // this epoch, and the reader set the admission streak counts epochs of.
-  // Readers are recorded by the service thread (on_diff_request); the fold
-  // and the push pass run on the compute thread at barriers, and denies
-  // land on the service thread.  Requests are tagged with the requester's
-  // epoch and land in the matching parity bucket: a request from the *next*
-  // epoch racing the fold can never contaminate the epoch being folded.
+  // Barrier keying, writer side: which nodes read the page this epoch, and
+  // the reader set the admission streak counts epochs of.  Readers are
+  // recorded by the service thread (on_diff_request); the fold and the push
+  // pass run on the compute thread at barriers.  Requests are tagged with
+  // the requester's epoch and land in the matching parity bucket: a peer
+  // already past the barrier can request before this node folds the epoch
+  // it ended, and must not contaminate it.
   struct PageCopyset {
     std::uint64_t epoch_readers[2] = {0, 0};  // bitmask by epoch parity
     std::uint64_t stable_set = 0;
     PushAdmission adm;  // streak: consecutive epochs stable_set held
   };
-  std::mutex copyset_mu_;
   std::unordered_map<PageIndex, PageCopyset> copyset_;
-  // Reader side (compute thread only): page -> writers (bitmask) whose
-  // diffs served a read here that no kDiffRequest named — pins and
-  // backlogs of the GC validation pass (PageEntry::unheard_writers).  The
-  // next barrier arrival carries them, and its departure delivers them to
-  // those writers before they fold the epoch of the read: the same fold a
-  // fault-path request would have reached.
+  // Reader side: page -> writers (bitmask) whose diffs served a read here
+  // that no kDiffRequest named — pins and backlogs of the GC validation pass
+  // (PageEntry::unheard_writers).  The next barrier arrival carries them,
+  // and its departure delivers them to those writers before they fold the
+  // epoch of the read: the same fold a fault-path request would have
+  // reached.
   std::unordered_map<PageIndex, std::uint64_t> read_marks_;
-  // Own intervals closed since the last barrier, by dirty page (compute
-  // thread only): the candidate set of the barrier push pass.  Cleared at
-  // every barrier, and at fork/join boundaries (barrier-free programs never
-  // push, so the list must not grow with them).
+  // Own intervals closed since the last barrier, by dirty page: the
+  // candidate set of the barrier push pass.  Cleared at every barrier, and
+  // at fork/join boundaries (barrier-free programs never push, so the list
+  // must not grow with them).
   std::unordered_map<PageIndex, std::vector<std::uint32_t>> epoch_dirty_;
-  // Barrier pushes parked but not yet landed (push_mu_): appended by
-  // on_update_push (service thread), drained by the landing pass of the
-  // matching barrier, which is also what inserts the chunks into the page
-  // diff caches — the cache stays compute-thread-only, preserving the fault
-  // path's partition invariant.  The barrier tag is what keeps the hand-off
+  // Barrier pushes parked but not yet landed: appended by on_update_push
+  // (service thread), drained by the landing pass of the matching barrier,
+  // which is also what inserts the chunks into the page diff caches — only
+  // the compute thread mutates them, preserving the fault path's partition
+  // invariant across its fetch.  The barrier tag is what keeps the hand-off
   // deterministic: the service thread can run a full barrier ahead of its
   // own compute thread, so a push for barrier k+1 may be parked before the
   // compute thread has even woken from barrier k.
@@ -524,10 +549,9 @@ class Node {
     std::uint32_t writer = 0;
     std::vector<PushedChunk> chunks;
   };
-  std::mutex push_mu_;
   std::vector<PendingPush> pending_pushes_;
   // Pushes landed armed or partially covered, by push key, awaiting the
-  // key's judge point (compute thread only).
+  // key's judge point.
   struct PushJudge {
     PageIndex page = 0;
     std::uint32_t pusher = 0;
@@ -535,68 +559,48 @@ class Node {
   };
   std::unordered_map<std::uint32_t, std::vector<PushJudge>> push_judge_;
 
-  // ---- barrier-GC scan index (gc_scan_mu_) ----
+  // ---- barrier-GC scan index ----
   // Pages that may hold unapplied notices: appended by merge_and_invalidate,
   // swapped out (and re-seeded with the still-dirty survivors) by the GC
   // validation pass, which is therefore O(pages with notices) per barrier
   // instead of O(heap pages).  May hold duplicates and already-clean pages;
   // the scan tolerates both.  Unused (and empty) when gc_at_barriers is off.
-  std::mutex gc_scan_mu_;
   std::vector<PageIndex> gc_scan_pages_;
 
-  // ---- consistency metadata (meta_mu_) ----
-  // Held across a whole merge_and_invalidate: the log merge *and* the page
-  // invalidations it implies.  The compute thread (a sema or lock grant) and
-  // the service thread (a kJoin, kFork or flush) can merge the same records
-  // at once; the loser of the log merge sees only duplicates and returns,
-  // and without this lock its caller could read pages the winner has not
-  // yet invalidated.  Taken before meta_mu_ and any page mutex.
-  std::mutex merge_mu_;
-  std::mutex meta_mu_;
+  // ---- consistency metadata ----
   KnowledgeLog log_;
   std::uint32_t own_seq_ = 0;      // last closed interval
   std::uint64_t own_lamport_ = 0;  // lamport of last closed interval
   std::vector<VectorTime> sent_node_vt_;  // per peer: what their node log has
   std::vector<VectorTime> sent_mgr_vt_;   // per peer: what their mgr log has
-  // Cut-to-enqueue ordering for node-log deltas.  take_delta_for advances
-  // the sent-cache at *cut* time, but the message reaches the network only
-  // after serialization — and the compute thread (lock_release's pending
-  // grant, flush, fork, join) and the service thread (on_lock_forward's
-  // grant-from-cache) can both cut a delta for the same peer.  If the
-  // later cut's message is enqueued first, per-link FIFO faithfully
-  // delivers a gap and the receiver's dense-merge check fires.  Held from
-  // before the cut until the send returns, per destination; mgr-log deltas
-  // need no such lock (every mgr-log cut runs on the compute thread).
-  std::unique_ptr<std::mutex[]> delta_send_mu_;
   VectorTime gc_floor_applied_;           // last barrier-GC floor applied
   // Highest floor this node has fully *validated* pages against (every
   // notice at or below it pinned or applied).  Raised by the compute thread
   // after each gc_validate_pages pass; snapshotted by the service thread
   // during an on-demand exchange to fold the global ack.  A snapshot taken
-  // mid-validation reads the old value — conservative, never unsafe.
+  // while the pass waits on its fetch reads the old value — conservative,
+  // never unsafe.
   VectorTime gc_floor_validated_;
 
   // Own-diff reclamation floor: the previous barrier's floor component for
   // this node.  Diff-store entries at or below it are dropped one barrier
   // after the floor was announced — by then every node has validated its
   // pages against it, so no fetch for them can still be in flight.
-  // Compute-thread only.
   std::uint32_t gc_drop_seq_ = 0;
   // The bound actually safe for destroying diff *sources* (store entries,
   // pending twins): gc_drop_seq_ as of the previous barrier.  gc_drop_seq_
   // itself is the floor just announced, whose validation fetches from peers
   // may still be in flight; only after the next barrier departs is every
   // such fetch guaranteed served.  A twin dropped against the fresh floor
-  // loses the only source a concurrent fetch still wants.  Compute-thread
-  // only.
+  // loses the only source a concurrent fetch still wants.
   std::uint32_t gc_reclaimed_seq_ = 0;
 
   // ---- on-demand GC exchange state ----
   // Fold state of the exchange currently passing through this combining
-  // point (service thread only).  Generations cannot overlap on a node: a
-  // child's fold completes (active goes false) before its kGcArrive is sent
-  // up, and the root starts generation g+1 only after folding every
-  // generation-g arrival — so a solicit always finds active == false.
+  // point.  Generations cannot overlap on a node: a child's fold completes
+  // (active goes false) before its kGcArrive is sent up, and the root starts
+  // generation g+1 only after folding every generation-g arrival — so a
+  // solicit always finds active == false.
   struct GcExchange {
     bool active = false;
     std::uint32_t gen = 0;
@@ -606,30 +610,29 @@ class Node {
   };
   GcExchange gc_ex_;
   // Root-only dedup: while an exchange is in flight, further kGcRequest
-  // initiations join it instead of starting another (service thread only).
+  // initiations join it instead of starting another.
   bool gc_root_active_ = false;
   std::uint32_t gc_root_gen_ = 0;
-  // Departure results parked for the compute thread (gc_depart_mu_).  Two
-  // departures may land between polls; they merge by vt_max (both vectors
-  // are monotone across generations).
-  std::mutex gc_depart_mu_;
+  // Departure results parked for the compute thread's next sync operation.
+  // Two departures may land between polls; they merge by vt_max (both
+  // vectors are monotone across generations).
   VectorTime gc_parked_floor_;
   VectorTime gc_parked_ack_;
-  std::atomic<bool> gc_parked_flag_{false};
+  bool gc_parked_flag_ = false;
   // Highest generation whose departure this node has seen, and the highest
-  // generation this node has asked the root for (compute thread only): a
-  // node over the ceiling sends one initiation per generation, not one per
-  // sync operation, so the root is not flooded while an exchange runs.
-  std::atomic<std::uint32_t> gc_gen_seen_{0};
+  // generation this node has asked the root for: a node over the ceiling
+  // sends one initiation per generation, not one per sync operation, so the
+  // root is not flooded while an exchange runs.
+  std::uint32_t gc_gen_seen_ = 0;
   std::uint32_t gc_gen_requested_ = 0;
   // O(1) footprint mirrors for the ceiling check: the diff store's payload
   // bytes, and the sum of every page diff cache's bytes (bound via
   // PageDiffCache::bind_total as the page table allocates each chunk).
-  std::atomic<std::size_t> diff_store_bytes_{0};
-  std::atomic<std::size_t> diff_cache_total_bytes_{0};
-  // Relay stock index (compute thread only): per writer, a min-heap of
-  // (seq, page) over the entries relay_keep marked, so relay_prune pops
-  // exactly what a floor covers instead of walking every page's cache.
+  std::size_t diff_store_bytes_ = 0;
+  std::size_t diff_cache_total_bytes_ = 0;
+  // Relay stock index: per writer, a min-heap of (seq, page) over the
+  // entries relay_keep marked, so relay_prune pops exactly what a floor
+  // covers instead of walking every page's cache.
   // Entries evicted or applied-and-erased since leave stale keys behind;
   // relay_keep compacts them away once they outnumber the live ones.
   std::vector<std::vector<std::pair<std::uint32_t, PageIndex>>> relay_index_;
@@ -637,22 +640,19 @@ class Node {
   std::size_t relay_index_compact_ = 0;  // compaction threshold
 
   // ---- lock keying: per-lock protected page sets ----
-  // Writer-side admission per (lock, page), guarded by lock_protect_mu_:
-  // the fold and the grant-time push assembly run on whichever thread
-  // handles the release/forward (compute or service), and denies land on
-  // the service thread.
+  // Writer-side admission per (lock, page): folded at release, read by the
+  // grant-time push assembly, demoted by denies.
   struct LockPushStat {
     std::uint32_t untouched = 0;  // consecutive own CSes that did not touch
     PushAdmission adm;            // streak: consecutive own CSes that did
   };
-  std::mutex lock_protect_mu_;
   std::unordered_map<std::uint32_t, std::unordered_map<PageIndex, LockPushStat>>
       lock_protect_;
-  // Critical sections (compute thread only): the locks the compute thread
-  // currently holds — a fault taken while any is held is routed and keeps
-  // its chunks as relay stock — and per held lock the pages it faulted or
-  // wrote since acquiring it (folded at release into lock_history_, and into
-  // lock_protect_ with lock push on).
+  // Critical sections: the locks the compute thread currently holds — a
+  // fault taken while any is held is routed and keeps its chunks as relay
+  // stock — and per held lock the pages it faulted or wrote since acquiring
+  // it (folded at release into lock_history_, and into lock_protect_ with
+  // lock push on).
   std::vector<std::uint32_t> held_locks_;
   std::unordered_map<std::uint32_t, std::vector<PageIndex>> cs_touched_;
   // Per lock, the sorted pages touched in any earlier critical section of
@@ -663,7 +663,7 @@ class Node {
   // release.
   std::vector<PageIndex> cs_batch_;
 
-  // ---- lock client state (lock_client_mu_) ----
+  // ---- lock client state ----
   struct PendingGrant {
     std::uint32_t requester = 0;
     VectorTime vt;
@@ -674,11 +674,13 @@ class Node {
     bool awaiting = false;  // compute thread is blocked acquiring
     std::optional<PendingGrant> pending;
   };
-  std::mutex lock_client_mu_;
   std::unordered_map<std::uint32_t, LockClientState> lock_client_;
-  WaitSlot lock_grant_slot_;
+  // The tail of a local release (lock_release, cond_wait): grants the lock
+  // to a requester the forward parked while it was held, if any.
+  void grant_pending(std::uint32_t lock_id, LockClientState& st);
+  WaitSlot lock_grant_slot_{proto_mu_};
 
-  // ---- manager state (service thread only) ----
+  // ---- manager state (service thread) ----
   struct LockMgrState {
     bool ever_requested = false;
     std::uint32_t tail = 0;  // last requester, valid if ever_requested
@@ -726,27 +728,27 @@ class Node {
     BarrierMgrState barrier;
   };
   MgrState mgr_;
-  // What this combining point's parent already holds of mgr_.log (service
-  // thread only): kTreeArrive deltas are cut from it, like the per-peer
-  // sent-caches but for the tree edge.  Reset to the full log vt whenever a
-  // departure proves the parent caught up globally.
+  // What this combining point's parent already holds of mgr_.log:
+  // kTreeArrive deltas are cut from it, like the per-peer sent-caches but
+  // for the tree edge.  Reset to the full log vt whenever a departure proves
+  // the parent caught up globally.
   VectorTime tree_sent_up_vt_;
 
   // ---- crash injection + checkpoint state ----
-  // Sync points this compute thread has entered (compute thread only): the
-  // deterministic index TMK_NET_CRASH_AT selects the crash site against.
+  // Sync points this compute thread has entered: the deterministic index
+  // TMK_NET_CRASH_AT selects the crash site against.
   std::uint32_t crash_counter_ = 0;
   // Set by maybe_crash when this node dies; the service thread then drains
   // its (closed) mailbox without answering — a dead workstation must not
   // keep serving diffs.
-  std::atomic<bool> crashed_{false};
+  bool crashed_ = false;
   // Set by node_down (service thread), checked by maybe_crash (compute
   // thread) so survivors unwind at their next sync point even if they never
   // block on the dead peer.
-  std::atomic<bool> down_{false};
-  std::atomic<std::uint32_t> down_victim_{0};
-  // Root-only checkpoint commit fan-in (service thread only): parked commit
-  // rpcs; the epoch promotes when all N arrive, then everyone gets its ack.
+  bool down_ = false;
+  std::uint32_t down_victim_ = 0;
+  // Root-only checkpoint commit fan-in: parked commit rpcs; the epoch
+  // promotes when all N arrive, then everyone gets its ack.
   struct CkptCommit {
     std::uint32_t node = 0;
     std::uint64_t rpc_seq = 0;
@@ -756,10 +758,10 @@ class Node {
   std::uint64_t ckpt_commit_epoch_ = 0;
 
   // ---- fork-join plumbing ----
-  WaitSlot fork_slot_;   // slave: next kFork / kShutdown
-  WaitSlot join_slot_;   // master: kJoin arrivals
+  WaitSlot fork_slot_{proto_mu_};   // slave: next kFork / kShutdown
+  WaitSlot join_slot_{proto_mu_};   // master: kJoin arrivals
 
-  RpcClient rpc_;
+  RpcClient rpc_{proto_mu_};
   PooledThread service_thread_;
   Rng stress_rng_;
 

@@ -35,8 +35,7 @@ namespace now::tmk {
 void Node::maybe_crash() {
   // A peer's death verdict unwinds this compute thread at its next sync
   // point even if it never blocks on the dead node again.
-  if (down_.load(std::memory_order_acquire))
-    throw NodeDownError(down_victim_.load(std::memory_order_relaxed));
+  if (down_) throw NodeDownError(down_victim_);
   const DsmConfig& cfg = rt_.config();
   if (!cfg.crash_enabled() || id_ != cfg.net_crash_node) return;
   if (crash_counter_++ != cfg.net_crash_at) return;
@@ -45,14 +44,14 @@ void Node::maybe_crash() {
   if (!rt_.claim_crash()) return;
   NOW_LOG(kInfo, "node %u: injected crash at sync point %u", id_,
           cfg.net_crash_at);
-  crashed_.store(true, std::memory_order_release);  // service thread goes deaf
-  rt_.net().fail_node(id_);                         // links go dark
+  crashed_ = true;           // service thread goes deaf
+  rt_.net().fail_node(id_);  // links go dark
   throw NodeCrashedError();
 }
 
 void Node::node_down(std::uint32_t victim) {
-  down_victim_.store(victim, std::memory_order_relaxed);
-  down_.store(true, std::memory_order_release);
+  down_victim_ = victim;
+  down_ = true;
   // Wake the compute thread wherever it blocks: pending rpcs, lock grants,
   // the slave fork loop, the master's join.
   rpc_.poison(victim);
@@ -83,17 +82,11 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
   std::uint64_t unchanged = 0;
   pages_.for_each([&](PageIndex page, PageEntry& e) {
     if (page % num_nodes_ != id_) return;
-    bool has_notices;
-    {
-      std::lock_guard<std::mutex> lock(e.mu);
-      has_notices = !e.unapplied.empty();
-    }
-    // Runs without e.mu (it fetches from peers); leaves the page kReadOnly.
-    // No new notices can appear mid-pass: every node is between this
-    // barrier's departure and the commit ack, so no interval closes anywhere.
-    if (has_notices) fetch_and_apply(page, e);
+    // Leaves the page kReadOnly.  No new notices can appear while its fetch
+    // waits: every node is between this barrier's departure and the commit
+    // ack, so no interval closes anywhere.
+    if (!e.unapplied.empty()) fetch_and_apply(page, e);
 
-    std::lock_guard<std::mutex> lock(e.mu);
     bool temp_mapped = false;
     if (e.state == PageState::kInvalid) {
       if (!e.ever_valid) return;  // still the initial zero page
@@ -113,14 +106,14 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
                                       std::memory_order_relaxed);
   stats_.ckpt_pages_incremental.fetch_add(unchanged, std::memory_order_relaxed);
 
-  // Sema counts live on the service thread (manager state): a self-rpc hands
-  // the staging over without breaking the thread partition.  Waiters are
-  // provably absent — a node blocked in sema_wait could not have arrived at
-  // the barrier that just completed.
-  {
-    ByteWriter w;
-    w.u64(abs_epoch);
-    rpc_call(id_, kCkptQuery, w.take());  // kCkptReply
+  // Sema counts (manager state).  Waiters are provably absent — a node
+  // blocked in sema_wait could not have arrived at the barrier that just
+  // completed.
+  for (auto& [sid, S] : mgr_.semas) {
+    NOW_CHECK(S.waiters.empty())
+        << "checkpoint at a completed barrier found sema " << sid
+        << " waiters parked";
+    if (S.count != 0) store.stage_sema(abs_epoch, sid, S.count);
   }
   if (id_ == rt_.topology().alloc_server()) rt_.stage_alloc_image(abs_epoch);
 
@@ -130,23 +123,6 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
   ByteWriter w;
   w.u64(abs_epoch);
   rpc_call(rt_.topology().barrier_root(), kCkptCommit, w.take());  // kCkptAck
-}
-
-void Node::on_ckpt_query(sim::Message&& m) {
-  ByteReader r(m.payload);
-  const std::uint64_t epoch = r.u64();
-  CheckpointStore& store = rt_.checkpoint();
-  for (auto& [sid, S] : mgr_.semas) {
-    NOW_CHECK(S.waiters.empty())
-        << "checkpoint at a completed barrier found sema " << sid
-        << " waiters parked";
-    if (S.count != 0) store.stage_sema(epoch, sid, S.count);
-  }
-  sim::Message reply;
-  reply.type = kCkptReply;
-  reply.dst = m.src;
-  reply.seq = m.seq;
-  send_service(std::move(reply), m.arrive_ts_ns);
 }
 
 void Node::on_ckpt_commit(sim::Message&& m) {
@@ -177,8 +153,8 @@ void Node::rehydrate_page(PageIndex page, const unsigned char* data) {
   // initial state.  Resident + kReadOnly + ever_valid is exactly where a
   // first read fault would leave a page whose content the zero-heap already
   // held — the consistency protocol cannot tell the difference.
+  ProtoGuard guard(*this);
   PageEntry& e = pages_[page];
-  std::lock_guard<std::mutex> lock(e.mu);
   rt_.arena().protect_rw(id_, page);
   std::memcpy(rt_.arena().page_ptr(id_, page), data, kPageSize);
   rt_.arena().protect_read(id_, page);

@@ -18,7 +18,6 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
       log_(num_nodes_),
       sent_node_vt_(num_nodes_, VectorTime(num_nodes_, 0)),
       sent_mgr_vt_(num_nodes_, VectorTime(num_nodes_, 0)),
-      delta_send_mu_(new std::mutex[num_nodes_]),
       gc_floor_applied_(num_nodes_, 0),
       gc_floor_validated_(num_nodes_, 0),
       relay_index_(num_nodes_),
@@ -27,6 +26,25 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
       stress_rng_(rt.config().stress_seed + id) {}
 
 Node::~Node() = default;
+
+namespace {
+// The node whose protocol lock this thread holds, if any.
+thread_local const Node* t_proto_holder = nullptr;
+}  // namespace
+
+Node::ProtoGuard::ProtoGuard(Node& node) : node_(node) {
+  NOW_CHECK(t_proto_holder != &node)
+      << "node " << node.id_
+      << ": protocol lock taken twice by one thread (runtime code holding it "
+         "touched a protected page?)";
+  node.proto_mu_.lock();
+  t_proto_holder = &node;
+}
+
+Node::ProtoGuard::~ProtoGuard() {
+  t_proto_holder = nullptr;
+  node_.proto_mu_.unlock();
+}
 
 void Node::start_service() {
   service_thread_ = PooledThread([this] { service_main(); });
@@ -62,13 +80,10 @@ void Node::close_interval() {
   std::uint32_t rec_seq;
   const std::size_t rec_npages = rec.pages.size();
   const PageIndex rec_first = rec.pages.empty() ? 0 : rec.pages[0];
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    own_lamport_ = std::max(own_lamport_, log_.max_lamport()) + 1;
-    rec.seq = rec_seq = ++own_seq_;
-    rec.lamport = own_lamport_;
-    log_.append_own(std::move(rec));
-  }
+  own_lamport_ = std::max(own_lamport_, log_.max_lamport()) + 1;
+  rec.seq = rec_seq = ++own_seq_;
+  rec.lamport = own_lamport_;
+  log_.append_own(std::move(rec));
 
   // The barrier push pass wants this epoch's intervals by dirty page.
   if (rt_.config().update_enabled())
@@ -78,7 +93,6 @@ void Node::close_interval() {
   // materialize this interval's diff before starting a new twin.
   for (PageIndex page : dirty_pages_) {
     PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
     if (e.state == PageState::kWritable) {
       rt_.arena().protect_read(id_, page);
       e.state = PageState::kReadOnly;
@@ -95,18 +109,12 @@ void Node::close_interval() {
 }
 
 void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
-  std::lock_guard<std::mutex> merging(merge_mu_);  // see merge_mu_
-  std::vector<IntervalRecordPtr> fresh;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    fresh = log_.merge(recs);
-  }
+  const std::vector<IntervalRecordPtr> fresh = log_.merge(recs);
   for (const IntervalRecordPtr& recp : fresh) {
     const IntervalRecord& rec = *recp;
     NOW_CHECK_NE(rec.node, id_) << "merged a record we authored";
     for (PageIndex page : rec.pages) {
       PageEntry& e = pages_[page];
-      std::lock_guard<std::mutex> lock(e.mu);
       e.unapplied.push_back({rec.node, rec.seq, rec.lamport});
       if (e.state != PageState::kInvalid) invalidate_page(page, e);
       // An armed page is already kInvalid; a fresh notice still stales its
@@ -116,12 +124,10 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
   }
   // Seed the GC validation scan with the pages that just gained notices
   // (consumed whenever a floor is applied: barriers and fork points).
-  if (!fresh.empty() && rt_.config().gc_floors_enabled()) {
-    std::lock_guard<std::mutex> lock(gc_scan_mu_);
+  if (rt_.config().gc_floors_enabled())
     for (const IntervalRecordPtr& recp : fresh)
       gc_scan_pages_.insert(gc_scan_pages_.end(), recp->pages.begin(),
                             recp->pages.end());
-  }
   // Invalidation mprotects are protocol work, not application compute; when
   // running on the compute thread, keep them out of the meter.  (The service
   // thread also merges — flush/fork/join — but never owns the meter.)
@@ -154,42 +160,37 @@ void Node::materialize_twin(PageIndex page, PageEntry& e) {
                         (static_cast<double>(diff.size()) / 1024.0));
   stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
   stats_.diff_bytes_created.fetch_add(diff.size(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    diff_store_bytes_.fetch_add(
-        diff_store_[diff_store_key(page, e.twin.seq)].emplace_back(std::move(diff)).size(),
-        std::memory_order_relaxed);
-  }
+  diff_store_bytes_ +=
+      diff_store_[diff_store_key(page, e.twin.seq)].emplace_back(std::move(diff)).size();
   e.twin_valid = false;
   e.twin.data.reset();
 }
 
 VectorTime Node::vector_time() {
-  std::lock_guard<std::mutex> lock(meta_mu_);
+  ProtoGuard guard(*this);
   return log_.vt();
 }
 
 VectorTime Node::gc_floor_snapshot() {
-  std::lock_guard<std::mutex> lock(meta_mu_);
+  ProtoGuard guard(*this);
   return gc_floor_applied_;
 }
 
+std::size_t Node::page_chunks() {
+  ProtoGuard guard(*this);
+  return pages_.chunks();
+}
+
 Node::MetaFootprint Node::meta_footprint() {
+  ProtoGuard guard(*this);
   MetaFootprint f;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    f.log_records = log_.total_records();
-    f.log_bytes = log_.total_bytes();
-  }
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    f.diff_store_entries = diff_store_.size();
-    for (const auto& [key, chunks] : diff_store_)
-      for (const DiffBytes& d : chunks) f.diff_store_bytes += d.size();
-  }
+  f.log_records = log_.total_records();
+  f.log_bytes = log_.total_bytes();
+  f.diff_store_entries = diff_store_.size();
+  for (const auto& [key, chunks] : diff_store_)
+    for (const DiffBytes& d : chunks) f.diff_store_bytes += d.size();
   // Absent chunks hold no cached diffs.
   pages_.for_each([&](PageIndex, PageEntry& e) {
-    std::lock_guard<std::mutex> lock(e.mu);
     f.diff_cache_bytes += e.diff_cache.bytes();
     f.diff_cache_pinned_bytes += e.diff_cache.pinned_bytes();
     f.relay_bytes += e.diff_cache.relay_bytes();
@@ -198,10 +199,7 @@ Node::MetaFootprint Node::meta_footprint() {
 }
 
 std::size_t Node::meta_bytes() {
-  std::size_t total = diff_store_bytes_.load(std::memory_order_relaxed) +
-                      diff_cache_total_bytes_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  return total + log_.total_bytes();
+  return diff_store_bytes_ + diff_cache_total_bytes_ + log_.total_bytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +316,6 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
 
 std::vector<IntervalRecordPtr> Node::take_delta_for(std::uint32_t peer, Cache which,
                                                     const VectorTime* extra) {
-  std::lock_guard<std::mutex> lock(meta_mu_);
   VectorTime& cache =
       (which == Cache::kNodeLog ? sent_node_vt_ : sent_mgr_vt_)[peer];
   VectorTime base = extra ? vt_max(cache, *extra) : cache;

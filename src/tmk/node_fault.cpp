@@ -1,7 +1,7 @@
 // Page fault handling: access detection, cold zero-fills, diff fetch/apply
 // and write-twin creation.  Runs on the faulting node's compute thread, from
 // inside the SIGSEGV handler (the fault is synchronous, so this is an
-// ordinary function call context).
+// ordinary function call context), under the node's protocol lock.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -37,10 +37,12 @@ void Node::handle_fault(void* addr) {
     sim::CpuMeter& meter;
     ~RebaseOnExit() { meter.rebase(); }
   } rebase_guard{cpu_meter_};
+  // Fails loudly if this thread already holds the lock: runtime code that
+  // touched a protected page.
+  ProtoGuard guard(*this);
 
   const PageIndex page = rt_.arena().page_of(addr);
   PageEntry& e = pages_[page];
-  std::unique_lock<std::mutex> lock(e.mu);
 
   switch (e.state) {
     case PageState::kInvalid: {
@@ -71,7 +73,6 @@ void Node::handle_fault(void* addr) {
         e.ever_valid = true;
         return;  // a write access re-faults immediately and upgrades below
       }
-      lock.unlock();
       fetch_and_apply(page, e);
       return;
     }
@@ -124,34 +125,32 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     std::vector<UnappliedNotice> want;
     std::vector<UnappliedNotice> need;  // not already held in the diff cache
     std::uint64_t cache_hits = 0, cache_bytes = 0, pf_hits = 0;
-    {
-      std::lock_guard<std::mutex> lock(e.mu);
-      if (e.unapplied.empty()) {
-        if (e.state == PageState::kInvalid) {
-          rt_.arena().protect_read(id_, page);
-          e.state = PageState::kReadOnly;
-          e.ever_valid = true;
-        }
-        return;
+    if (e.unapplied.empty()) {
+      if (e.state == PageState::kInvalid) {
+        rt_.arena().protect_read(id_, page);
+        e.state = PageState::kReadOnly;
+        e.ever_valid = true;
       }
-      want = e.unapplied;
-      // Chunks already held locally — parked by a neighbor fault's prefetch,
-      // pinned by the barrier-GC validation pass (whose writers may have
-      // reclaimed them since), or kept from an earlier fault — need no round
-      // trip at all; only the compute thread mutates the cache, so the
-      // partition stays valid after the lock drops.
-      for (const auto& n : want) {
-        if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
-          ++cache_hits;
-          if (ent->prefetched) ++pf_hits;
-          // Reply bytes this hit avoids: the per-interval seq + chunk-count
-          // header plus each chunk's length prefix and payload.  (A fully
-          // suppressed request message saves more still; not counted.)
-          cache_bytes += 8;
-          for (const DiffBytes& c : ent->chunks) cache_bytes += 4 + c.size();
-        } else {
-          need.push_back(n);
-        }
+      return;
+    }
+    want = e.unapplied;
+    // Chunks already held locally — parked by a neighbor fault's prefetch,
+    // pinned by the barrier-GC validation pass (whose writers may have
+    // reclaimed them since), or kept from an earlier fault — need no round
+    // trip at all; only the compute thread mutates the cache, so the
+    // partition stays valid while the fetch below waits with the lock
+    // released.
+    for (const auto& n : want) {
+      if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
+        ++cache_hits;
+        if (ent->prefetched) ++pf_hits;
+        // Reply bytes this hit avoids: the per-interval seq + chunk-count
+        // header plus each chunk's length prefix and payload.  (A fully
+        // suppressed request message saves more still; not counted.)
+        cache_bytes += 8;
+        for (const DiffBytes& c : ent->chunks) cache_bytes += 4 + c.size();
+      } else {
+        need.push_back(n);
       }
     }
     if (cache_hits > 0) {
@@ -199,9 +198,9 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // the writer requests this fault already pays for.  Only writers already
     // being contacted are considered (no extra messages, ever), and only
     // entries not yet cached.  The collected (writer, seq) list stays valid
-    // after the page locks drop: the service thread can only *append*
-    // notices, and this compute thread is the only one that applies them or
-    // touches the cache.  Nothing here reorders consistency: the neighbor's
+    // across the fetch: the service thread can only *append* notices, and
+    // this compute thread is the only one that applies them or touches the
+    // cache.  Nothing here reorders consistency: the neighbor's
     // chunks are parked in its cache and applied, in lamport order, by its
     // own fault.
     //
@@ -240,7 +239,6 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         PageEntry* qp = pages_.find(q);
         if (qp == nullptr) continue;
         PageEntry& qe = *qp;
-        std::lock_guard<std::mutex> qlock(qe.mu);
         if (qe.state != PageState::kInvalid || qe.unapplied.empty()) continue;
         PrefetchPage pp;
         pp.page = q;
@@ -308,7 +306,6 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // surviving entries to pins before their writers reclaim.
     for (const PrefetchPage& pp : prefetch) {
       PageEntry& qe = pages_[pp.page];
-      std::lock_guard<std::mutex> qlock(qe.mu);
       bool filled = false;
       for (const auto& [writer, seq] : pp.entries) {
         auto it = got.find({pp.page, writer, seq});
@@ -337,7 +334,6 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // later iteration still wants.
     std::vector<std::pair<const UnappliedNotice*, std::vector<DiffBytes>>> keep;
 
-    std::lock_guard<std::mutex> lock(e.mu);
     rt_.arena().protect_rw(id_, page);
     std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
     std::size_t patched = 0;

@@ -45,7 +45,6 @@ void Node::push_land(std::uint32_t key, PageIndex page,
   // answered from and this node's own later grant relays onward.
   const bool retain = push_kind(key) == PushKind::kLock;
   PageEntry& e = pages_[page];
-  std::lock_guard<std::mutex> lock(e.mu);
 
   // Park: budgeted, droppable, keyed (writer, seq) exactly like a fetched
   // reply.  Only this compute thread mutates the cache, which is what keeps
@@ -137,7 +136,7 @@ void Node::push_finish(std::uint32_t key, PushBatch& b) {
     clock_.advance_us(rt_.config().diff_apply_per_kb_us *
                       (static_cast<double>(b.patched) / 1024.0));
   }
-  push_deny(key, b.deny);
+  send_denies(key, b.deny);
 }
 
 void Node::push_hit(PushKind kind) {
@@ -157,7 +156,6 @@ void Node::push_judge(std::uint32_t key) {
   std::vector<PageIndex> dead;
   for (const PushJudge& j : judged) {
     PageEntry& e = pages_[j.page];
-    std::lock_guard<std::mutex> lock(e.mu);
     // An armed page is dead if no access consumed the probe (a consumed
     // probe disarmed it at its fault; a fresh write notice disarms it too —
     // no verdict then).  A partially covered page is dead if it stayed
@@ -177,15 +175,20 @@ void Node::push_judge(std::uint32_t key) {
   // locally through the empty-unapplied path) and restart the cadence.
   for (PageIndex page : dead) {
     PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
     e.push_armed = PushKind::kNone;
     e.pushes_since_probe = 0;
   }
-  push_deny(key, deny);
+  send_denies(key, deny);
 }
 
 void Node::push_deny(std::uint32_t key,
                      const std::map<std::uint32_t, std::vector<PageIndex>>& deny) {
+  ProtoGuard guard(*this);
+  send_denies(key, deny);
+}
+
+void Node::send_denies(std::uint32_t key,
+                       const std::map<std::uint32_t, std::vector<PageIndex>>& deny) {
   for (const auto& [pusher, pages] : deny) {
     ByteWriter w;
     w.u32(key);
@@ -207,7 +210,6 @@ void Node::on_push_deny(sim::Message&& m) {
   const std::uint32_t key = r.u32();
   const std::uint32_t npages = r.u32();
   if (push_kind(key) == PushKind::kBarrier) {
-    std::lock_guard<std::mutex> lock(copyset_mu_);
     for (std::uint32_t p = 0; p < npages; ++p) {
       PageCopyset& cs = copyset_[r.u32()];
       cs.stable_set = 0;
@@ -216,7 +218,6 @@ void Node::on_push_deny(sim::Message&& m) {
     }
     return;
   }
-  std::lock_guard<std::mutex> lock(lock_protect_mu_);
   auto& prot = lock_protect_[key];
   for (std::uint32_t p = 0; p < npages; ++p) {
     LockPushStat& ps = prot[r.u32()];
@@ -227,12 +228,11 @@ void Node::on_push_deny(sim::Message&& m) {
 }
 
 bool Node::push_admitted(std::uint32_t key, PageIndex page) {
+  ProtoGuard guard(*this);
   if (push_kind(key) == PushKind::kBarrier) {
-    std::lock_guard<std::mutex> lock(copyset_mu_);
     auto it = copyset_.find(page);
     return it != copyset_.end() && it->second.adm.admitted;
   }
-  std::lock_guard<std::mutex> lock(lock_protect_mu_);
   auto lit = lock_protect_.find(key);
   if (lit == lock_protect_.end()) return false;
   auto it = lit->second.find(page);
@@ -253,16 +253,13 @@ void Node::update_push_promoted(std::uint64_t barrier_index) {
     std::uint64_t readers = 0;
   };
   std::vector<Item> items;
-  {
-    std::lock_guard<std::mutex> lock(copyset_mu_);
-    for (auto& [page, seqs] : epoch_dirty_) {
-      auto it = copyset_.find(page);
-      if (it == copyset_.end() || !it->second.adm.admitted) continue;
-      const std::uint64_t readers =
-          it->second.stable_set & ~(std::uint64_t{1} << id_);
-      if (readers == 0) continue;
-      items.push_back({page, &seqs, readers});
-    }
+  for (auto& [page, seqs] : epoch_dirty_) {
+    auto it = copyset_.find(page);
+    if (it == copyset_.end() || !it->second.adm.admitted) continue;
+    const std::uint64_t readers =
+        it->second.stable_set & ~(std::uint64_t{1} << id_);
+    if (readers == 0) continue;
+    items.push_back({page, &seqs, readers});
   }
   if (items.empty()) {
     epoch_dirty_.clear();
@@ -276,61 +273,54 @@ void Node::update_push_promoted(std::uint64_t barrier_index) {
   // rule as on_diff_request).
   for (const Item& item : items) {
     PageEntry& e = pages_[item.page];
-    std::lock_guard<std::mutex> lock(e.mu);
     for (std::uint32_t seq : *item.seqs)
       if (e.twin_valid && e.twin.seq == seq) materialize_twin(item.page, e);
   }
 
-  // One batched kUpdatePush per reader, serialized under a single diff-store
-  // hold and sent after it drops.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> msgs;
+  // One batched kUpdatePush per reader.
+  std::uint64_t pushes = 0;
   std::uint64_t pages_pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    for (std::uint32_t reader = 0; reader < num_nodes_; ++reader) {
-      if (reader == id_) continue;
-      const std::uint64_t bit = std::uint64_t{1} << reader;
-      std::uint32_t npages = 0;
-      for (const Item& item : items) npages += (item.readers & bit) ? 1 : 0;
-      if (npages == 0) continue;
-      ByteWriter w;
-      // Barrier tag: barrier() calls are globally aligned, so the reader's
-      // landing pass for the *same* barrier index — and only it — consumes
-      // this push (its service thread may park it a full barrier early).
-      w.u32(static_cast<std::uint32_t>(barrier_index));
-      w.u32(npages);
-      for (const Item& item : items) {
-        if (!(item.readers & bit)) continue;
-        w.u32(item.page);
-        w.u32(static_cast<std::uint32_t>(item.seqs->size()));
-        for (std::uint32_t seq : *item.seqs) {
-          // GC-floor interaction: the epoch's own intervals are always above
-          // the reclaim prefix (the last floor is the previous departure,
-          // which they postdate), so a pushed seq can never dangle into
-          // reclaimed diffs.
-          NOW_CHECK_GT(seq, gc_drop_seq_)
-              << "pushed interval below the reclaimed diff-store prefix";
-          auto it = diff_store_.find(diff_store_key(item.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "push wants missing diff: page " << item.page << " interval "
-              << seq;
-          w.u32(seq);
-          w.u32(static_cast<std::uint32_t>(it->second.size()));
-          for (const DiffBytes& d : it->second) w.bytes(d.data(), d.size());
-        }
+  for (std::uint32_t reader = 0; reader < num_nodes_; ++reader) {
+    if (reader == id_) continue;
+    const std::uint64_t bit = std::uint64_t{1} << reader;
+    std::uint32_t npages = 0;
+    for (const Item& item : items) npages += (item.readers & bit) ? 1 : 0;
+    if (npages == 0) continue;
+    ByteWriter w;
+    // Barrier tag: barrier() calls are globally aligned, so the reader's
+    // landing pass for the *same* barrier index — and only it — consumes
+    // this push (its service thread may park it a full barrier early).
+    w.u32(static_cast<std::uint32_t>(barrier_index));
+    w.u32(npages);
+    for (const Item& item : items) {
+      if (!(item.readers & bit)) continue;
+      w.u32(item.page);
+      w.u32(static_cast<std::uint32_t>(item.seqs->size()));
+      for (std::uint32_t seq : *item.seqs) {
+        // GC-floor interaction: the epoch's own intervals are always above
+        // the reclaim prefix (the last floor is the previous departure,
+        // which they postdate), so a pushed seq can never dangle into
+        // reclaimed diffs.
+        NOW_CHECK_GT(seq, gc_drop_seq_)
+            << "pushed interval below the reclaimed diff-store prefix";
+        auto it = diff_store_.find(diff_store_key(item.page, seq));
+        NOW_CHECK(it != diff_store_.end())
+            << "push wants missing diff: page " << item.page << " interval "
+            << seq;
+        w.u32(seq);
+        w.u32(static_cast<std::uint32_t>(it->second.size()));
+        for (const DiffBytes& d : it->second) w.bytes(d.data(), d.size());
       }
-      msgs.emplace_back(reader, w.take());
-      pages_pushed += npages;
     }
-  }
-  for (auto& [reader, payload] : msgs) {
     sim::Message m;
     m.type = kUpdatePush;
     m.dst = reader;
-    m.payload = std::move(payload);
+    m.payload = w.take();
     send_compute(std::move(m));
+    ++pushes;
+    pages_pushed += npages;
   }
-  stats_.update_pushes_sent.fetch_add(msgs.size(), std::memory_order_relaxed);
+  stats_.update_pushes_sent.fetch_add(pushes, std::memory_order_relaxed);
   stats_.update_pages_pushed.fetch_add(pages_pushed, std::memory_order_relaxed);
   epoch_dirty_.clear();
 }
@@ -339,8 +329,8 @@ void Node::on_update_push(sim::Message&& m) {
   // Barrier-time update push from a writer: queue the pushed intervals for
   // the compute thread's landing pass.  Nothing touches the page tables or
   // diff caches here — only the compute thread mutates those, which is what
-  // keeps the fault path's cached/needed partition valid while its lock is
-  // dropped, and what keeps a push racing a pull idempotent.
+  // keeps the fault path's cached/needed partition valid while its fetch
+  // waits, and what keeps a push racing a pull idempotent.
   //
   // The push carries the writer's barrier index: this service thread can
   // run a full barrier ahead of its own compute thread (the writer departs,
@@ -366,7 +356,6 @@ void Node::on_update_push(sim::Message&& m) {
       }
     }
   }
-  std::lock_guard<std::mutex> lock(push_mu_);
   for (PendingPush& pp : pending) pending_pushes_.push_back(std::move(pp));
 }
 
@@ -378,38 +367,34 @@ void Node::update_land_pushed(std::uint64_t barrier_index) {
   // barrier ahead — stays queued until the records it describes have been
   // merged.
   std::vector<PendingPush> batch;
-  {
-    std::lock_guard<std::mutex> lock(push_mu_);
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pending_pushes_.size(); ++i) {
-      PendingPush& pp = pending_pushes_[i];
-      if (pp.barrier_index != barrier_index) {
-        if (pp.barrier_index < barrier_index) {
-          // On the perfect wire this is impossible: the writer pushed
-          // before arriving at barrier k, so mailbox FIFO parks the push
-          // before the departure that triggers this pass.  Under injected
-          // faults the cross-link transitivity breaks — the push can be
-          // dropped and its retransmission land after the landing pass —
-          // and the stale push must be discarded: the push is an
-          // optimization only (the pull path re-fetches anything it
-          // carried), while applying a stale epoch's diffs late could
-          // resurrect overwritten words.
-          NOW_CHECK(rt_.config().chaos_enabled())
-              << "update push missed its barrier";
-          stats_.update_pushes_stale.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        // A faster writer already a barrier ahead: keep until its barrier.
-        // Compact in place, guarding the self-move (v[i] = move(v[i])
-        // empties the chunk vectors).
-        if (keep != i) pending_pushes_[keep] = std::move(pp);
-        ++keep;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < pending_pushes_.size(); ++i) {
+    PendingPush& pp = pending_pushes_[i];
+    if (pp.barrier_index != barrier_index) {
+      if (pp.barrier_index < barrier_index) {
+        // On the perfect wire this is impossible: the writer pushed before
+        // arriving at barrier k, so mailbox FIFO parks the push before the
+        // departure that triggers this pass.  Under injected faults the
+        // cross-link transitivity breaks — the push can be dropped and its
+        // retransmission land after the landing pass — and the stale push
+        // must be discarded: the push is an optimization only (the pull
+        // path re-fetches anything it carried), while applying a stale
+        // epoch's diffs late could resurrect overwritten words.
+        NOW_CHECK(rt_.config().chaos_enabled())
+            << "update push missed its barrier";
+        stats_.update_pushes_stale.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      batch.push_back(std::move(pp));
+      // A faster writer already a barrier ahead: keep until its barrier.
+      // Compact in place, guarding the self-move (v[i] = move(v[i])
+      // empties the chunk vectors).
+      if (keep != i) pending_pushes_[keep] = std::move(pp);
+      ++keep;
+      continue;
     }
-    pending_pushes_.resize(keep);
+    batch.push_back(std::move(pp));
   }
+  pending_pushes_.resize(keep);
   if (batch.empty()) return;
   std::stable_sort(batch.begin(), batch.end(),
                    [](const PendingPush& a, const PendingPush& b) {
@@ -433,7 +418,6 @@ void Node::update_land_pushed(std::uint64_t barrier_index) {
 
 void Node::update_copyset_fold(std::uint64_t epoch) {
   const std::uint32_t promote = rt_.config().update_promote_epochs;
-  std::lock_guard<std::mutex> lock(copyset_mu_);
   for (auto it = copyset_.begin(); it != copyset_.end();) {
     PageCopyset& cs = it->second;
     const std::uint64_t cur = cs.epoch_readers[epoch & 1];
@@ -505,36 +489,33 @@ void Node::lock_push_end_cs(std::uint32_t lock_id) {
 
   const std::uint32_t probe =
       std::max<std::uint32_t>(1, rt_.config().lock_push_probe);
-  {
-    std::lock_guard<std::mutex> lock(lock_protect_mu_);
-    auto& prot = lock_protect_[lock_id];
-    // A page touched in every critical section joins the set immediately
-    // (after denials, once its touch streak clears the backoff).
-    for (PageIndex pg : touched) {
-      LockPushStat& ps = prot[pg];
-      ps.untouched = 0;
-      ps.adm.confirm(1);
+  auto& prot = lock_protect_[lock_id];
+  // A page touched in every critical section joins the set immediately
+  // (after denials, once its touch streak clears the backoff).
+  for (PageIndex pg : touched) {
+    LockPushStat& ps = prot[pg];
+    ps.untouched = 0;
+    ps.adm.confirm(1);
+  }
+  for (auto it = prot.begin(); it != prot.end();) {
+    if (std::binary_search(touched.begin(), touched.end(), it->first)) {
+      ++it;
+      continue;
     }
-    for (auto it = prot.begin(); it != prot.end();) {
-      if (std::binary_search(touched.begin(), touched.end(), it->first)) {
-        ++it;
+    LockPushStat& ps = it->second;
+    ps.adm.streak = 0;
+    if (++ps.untouched >= probe) {
+      // Untouched for lock_push_probe consecutive of our own critical
+      // sections: the page is no longer part of what this lock protects.
+      ps.adm.admitted = false;
+      if (ps.adm.denials == 0) {
+        // Quiescent and never denied: forget the page entirely, so the map
+        // tracks live sharing rather than history.
+        it = prot.erase(it);
         continue;
       }
-      LockPushStat& ps = it->second;
-      ps.adm.streak = 0;
-      if (++ps.untouched >= probe) {
-        // Untouched for lock_push_probe consecutive of our own critical
-        // sections: the page is no longer part of what this lock protects.
-        ps.adm.admitted = false;
-        if (ps.adm.denials == 0) {
-          // Quiescent and never denied: forget the page entirely, so the map
-          // tracks live sharing rather than history.
-          it = prot.erase(it);
-          continue;
-        }
-      }
-      ++it;
     }
+    ++it;
   }
   // Judged after the fold, before any grant can be assembled for this
   // release: the grant reads the protected set the fold just updated.
@@ -582,22 +563,19 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
     std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
   };
   std::vector<Cand> cands;
-  {
-    std::lock_guard<std::mutex> lock(lock_protect_mu_);
-    auto it = lock_protect_.find(lock_id);
-    if (it == lock_protect_.end()) {
-      w.u32(0);
-      return;
-    }
-    std::map<PageIndex, std::size_t> index;
-    for (const IntervalRecordPtr& rec : delta) {
-      for (PageIndex pg : rec->pages) {
-        auto ps = it->second.find(pg);
-        if (ps == it->second.end() || !ps->second.adm.admitted) continue;
-        auto [slot, fresh] = index.emplace(pg, cands.size());
-        if (fresh) cands.push_back({pg, {}});
-        cands[slot->second].entries.emplace_back(rec->node, rec->seq);
-      }
+  auto prot = lock_protect_.find(lock_id);
+  if (prot == lock_protect_.end()) {
+    w.u32(0);
+    return;
+  }
+  std::map<PageIndex, std::size_t> index;
+  for (const IntervalRecordPtr& rec : delta) {
+    for (PageIndex pg : rec->pages) {
+      auto ps = prot->second.find(pg);
+      if (ps == prot->second.end() || !ps->second.adm.admitted) continue;
+      auto [slot, fresh] = index.emplace(pg, cands.size());
+      if (fresh) cands.push_back({pg, {}});
+      cands[slot->second].entries.emplace_back(rec->node, rec->seq);
     }
   }
   if (cands.empty()) {
@@ -616,11 +594,9 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
   std::size_t budget = cfg.lock_push_bytes;
   for (const Cand& c : cands) {
     PageEntry& e = pages_[c.page];
-    std::lock_guard<std::mutex> lock(e.mu);
     // Materialize any twin still pending for a pushed own interval (the
     // page is at most PROT_READ once its interval closed, so its bytes are
-    // stable; same rule — and same e.mu-before-store_mu_ order — as
-    // on_diff_request).
+    // stable; same rule as on_diff_request).
     for (const auto& [wtr, seq] : c.entries)
       if (wtr == id_ && e.twin_valid && e.twin.seq == seq)
         materialize_twin(c.page, e);
@@ -629,29 +605,26 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
     // seqs are above the requester's vector time, which dominates every
     // announced floor, and own-diff reclamation lags the floor by one
     // reclamation point — the NOW_CHECK fails loudly if that invariant is
-    // ever broken); retained cache entries are stable under e.mu.
+    // ever broken).
     ByteWriter entries;
     std::uint32_t n = 0;
-    {
-      std::lock_guard<std::mutex> sl(store_mu_);
-      for (const auto& [wtr, seq] : c.entries) {
-        const std::vector<DiffBytes>* chunks = nullptr;
-        if (wtr == id_) {
-          auto it = diff_store_.find(diff_store_key(c.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "lock push sourced a reclaimed diff: page " << c.page
-              << " interval " << seq;
-          chunks = &it->second;
-        } else {
-          chunks = e.diff_cache.find(wtr, seq);
-          if (chunks == nullptr) continue;  // not held: the fault pulls it
-        }
-        entries.u32(wtr);
-        entries.u32(seq);
-        entries.u32(static_cast<std::uint32_t>(chunks->size()));
-        for (const DiffBytes& d : *chunks) entries.bytes(d.data(), d.size());
-        ++n;
+    for (const auto& [wtr, seq] : c.entries) {
+      const std::vector<DiffBytes>* chunks = nullptr;
+      if (wtr == id_) {
+        auto it = diff_store_.find(diff_store_key(c.page, seq));
+        NOW_CHECK(it != diff_store_.end())
+            << "lock push sourced a reclaimed diff: page " << c.page
+            << " interval " << seq;
+        chunks = &it->second;
+      } else {
+        chunks = e.diff_cache.find(wtr, seq);
+        if (chunks == nullptr) continue;  // not held: the fault pulls it
       }
+      entries.u32(wtr);
+      entries.u32(seq);
+      entries.u32(static_cast<std::uint32_t>(chunks->size()));
+      for (const DiffBytes& d : *chunks) entries.bytes(d.data(), d.size());
+      ++n;
     }
     if (n == 0 || entries.size() > budget) continue;  // plain pull path
     pw.u32(c.page);

@@ -1,7 +1,8 @@
 // The protocol service thread: TreadMarks serviced remote requests from a
 // SIGIO handler; our simulated workstation dedicates a thread to the same
-// duty.  Every handler is strictly non-blocking (local state + sends only),
-// which is what makes the request/reply protocol deadlock-free.
+// duty.  Every handler runs under the node's protocol lock and is strictly
+// non-blocking (local state + sends only), which is what makes the
+// request/reply protocol deadlock-free.
 #include <thread>
 
 #include "common/bytes.h"
@@ -14,9 +15,10 @@ namespace now::tmk {
 
 void Node::service_main() {
   while (auto m = rt_.net().recv(id_)) {
+    ProtoGuard guard(*this);
     // A dead workstation answers nothing: once the scripted crash fired,
     // drain whatever the closed mailbox still holds and drop it.
-    if (crashed_.load(std::memory_order_acquire)) continue;
+    if (crashed_) continue;
     handle_message(std::move(*m));
   }
 }
@@ -32,7 +34,6 @@ void Node::handle_message(sim::Message&& m) {
     case kAllocReply:
     case kFreeAck:
     case kCondWaitAck:
-    case kCkptReply:
     case kCkptAck:
       rpc_.fulfill(m.seq, std::move(m));
       return;
@@ -81,10 +82,13 @@ void Node::handle_message(sim::Message&& m) {
   }
 
   // Requests: model the interrupt stealing CPU from this workstation, and
-  // optionally jitter the host-level service order under stress testing.
+  // optionally jitter the host-level service order under stress testing —
+  // with the lock released, so the sleep never stalls the compute thread.
   if (rt_.config().stress_service_jitter) {
     const auto us = stress_rng_.next_below(200);
+    proto_mu_.unlock();
     std::this_thread::sleep_for(std::chrono::microseconds(us));
+    proto_mu_.lock();
   }
   clock_.advance_us(rt_.config().net.service_overhead_us);
 
@@ -108,7 +112,6 @@ void Node::handle_message(sim::Message&& m) {
     case kGcRequest: on_gc_request(std::move(m)); return;
     case kGcArrive: on_gc_arrive(std::move(m)); return;
     case kGcDepart: on_gc_depart(std::move(m)); return;
-    case kCkptQuery: on_ckpt_query(std::move(m)); return;
     case kCkptCommit: on_ckpt_commit(std::move(m)); return;
     default:
       NOW_CHECK(false) << "node " << id_ << ": unknown message type " << m.type;
@@ -130,8 +133,8 @@ void Node::on_diff_request(sim::Message&& m) {
   struct Entry {
     std::uint32_t author = 0;
     std::uint32_t seq = 0;
-    // Where the chunks come from: the diff store (own intervals) or a copy
-    // of the stock entry taken under the page's mu (nullptr: a miss).
+    // Where the chunks come from: the diff store (own intervals) or the
+    // page's relay stock (nullptr: a miss).
     const std::vector<DiffBytes>* chunks = nullptr;
   };
   std::vector<std::pair<PageIndex, std::vector<Entry>>> pages;
@@ -155,41 +158,28 @@ void Node::on_diff_request(sim::Message&& m) {
   // that ends the reading epoch (see Node::barrier).
   if (!for_gc && rt_.config().update_enabled()) {
     const std::uint64_t bit = std::uint64_t{1} << m.src;
-    std::lock_guard<std::mutex> lock(copyset_mu_);
     for (const auto& [page, entries] : pages) {
       copyset_[page].epoch_readers[epoch_tag & 1] |= bit;
     }
   }
 
   // Materialize lazily if an interval's twin is still pending.  The page is
-  // at most PROT_READ for a closed interval, so its bytes are stable.  (Done
-  // before taking store_mu_: materialize_twin takes e.mu then store_mu_.)
-  // Other writers' intervals are copied out of the stock under the same
-  // mu: the compute thread may evict or prune them the moment it drops.  An
-  // absent page holds no twin and no stock.
-  std::vector<std::vector<DiffBytes>> stock;  // the copies, reserved up front
-  if (routed) {
-    std::size_t foreign = 0;
-    for (const auto& [page, entries] : pages)
-      for (const Entry& en : entries) foreign += en.author != id_ ? 1 : 0;
-    stock.reserve(foreign);
-  }
+  // at most PROT_READ for a closed interval, so its bytes are stable.  Other
+  // writers' intervals are served straight out of the stock.  An absent
+  // page holds no twin and no stock.
   for (auto& [page, entries] : pages) {
     PageEntry* e = pages_.find(page);
     if (e == nullptr) continue;
-    std::lock_guard<std::mutex> lock(e->mu);
     for (Entry& en : entries) {
       if (en.author == id_) {
         if (e->twin_valid && e->twin.seq == en.seq) materialize_twin(page, *e);
-      } else if (const auto* chunks = e->diff_cache.find(en.author, en.seq)) {
-        stock.push_back(*chunks);
-        en.chunks = &stock.back();
+      } else {
+        en.chunks = e->diff_cache.find(en.author, en.seq);
       }
     }
   }
 
   ByteWriter w;
-  std::lock_guard<std::mutex> lock(store_mu_);
   std::size_t reply_size = 4;  // page count
   for (auto& [page, entries] : pages) {
     reply_size += 8;  // page + interval count

@@ -28,6 +28,7 @@ std::uint64_t cond_key(std::uint32_t lock_id, std::uint32_t cond_id) {
 
 void Node::barrier() {
   sync_cpu();
+  ProtoGuard guard(*this);
   maybe_crash();  // "at barrier arrival" crash site
   gc_poll();
   // 0-based index of the epoch this barrier ends; kDiffRequests sent after
@@ -53,19 +54,12 @@ void Node::barrier() {
   const std::uint32_t owner = rt_.topology().barrier_owner(id_);
   auto delta = take_delta_for(owner, Cache::kMgrLog, nullptr);
   ByteWriter w;
-  VectorTime vt;
-  VectorTime floor_applied;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    vt = log_.vt();
-    floor_applied = gc_floor_applied_;
-  }
-  KnowledgeLog::serialize_vt(w, vt);
+  KnowledgeLog::serialize_vt(w, log_.vt());
   // The sender's applied GC floor, like every delta bound for a sparse
   // manager log (see sema_signal): a fork-point floor raises the sent-cache
   // past records the barrier manager never saw, so it must raise its own
   // floor before merging or the delta would look non-contiguous.
-  KnowledgeLog::serialize_vt(w, floor_applied);
+  KnowledgeLog::serialize_vt(w, gc_floor_applied_);
   KnowledgeLog::serialize_records(w, delta);
   // This epoch's unheard reads, one (writer, page) mark each.
   ReadMarks marks;
@@ -85,11 +79,8 @@ void Node::barrier() {
   // ended join the bucket the fold below reads.
   marks.clear();
   take_marks(r, marks);
-  if (!marks.empty()) {
-    std::lock_guard<std::mutex> lock(copyset_mu_);
-    for (const auto& [key, readers] : marks)
-      copyset_[key.second].epoch_readers[epoch_done & 1] |= readers;
-  }
+  for (const auto& [key, readers] : marks)
+    copyset_[key.second].epoch_readers[epoch_done & 1] |= readers;
   // With the departure's write notices merged, pages whose pushed chunks
   // fully cover their wanted intervals come out of the barrier valid.
   if (update_on) update_land_pushed(epoch_done);
@@ -308,50 +299,40 @@ void Node::gc_raise_floor(const VectorTime& floor) {
   // but the own-diff reclamation bounds (gc_drop_seq_ / gc_reclaimed_seq_)
   // are NOT moved: advancing them requires proof that every peer's
   // validation fetches have drained, which only the global alignment of a
-  // barrier or fork provides.  Only this compute thread writes the applied
-  // floor, so the compare stays valid after the lock drops.
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    bool advances = false;
-    for (std::uint32_t i = 0; i < num_nodes_; ++i) {
-      if (floor[i] > gc_floor_applied_[i]) {
-        advances = true;
-        break;
-      }
+  // barrier or fork provides.
+  bool advances = false;
+  for (std::uint32_t i = 0; i < num_nodes_; ++i) {
+    if (floor[i] > gc_floor_applied_[i]) {
+      advances = true;
+      break;
     }
-    if (!advances) {
-      // An applied floor is by now also validated on this compute thread
-      // (both passes complete before it returns); keep the validated vector
-      // caught up so the exchange's ack fold never lags the applied one.
-      gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
-      return;
-    }
+  }
+  if (!advances) {
+    // An applied floor is by now also validated on this compute thread
+    // (both passes complete before it returns); keep the validated vector
+    // caught up so the exchange's ack fold never lags the applied one.
+    gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
+    return;
   }
   gc_apply_floor(floor);
 }
 
 void Node::gc_apply_floor(const VectorTime& floor) {
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    const std::size_t dropped = log_.gc_to(floor);
-    if (dropped)
-      stats_.gc_records_reclaimed.fetch_add(dropped, std::memory_order_relaxed);
-    // Every node already knows the records below the floor, so they must
-    // never ride a delta again: raise the sent-caches so delta_since never
-    // reaches into the reclaimed prefix.
-    for (std::uint32_t p = 0; p < num_nodes_; ++p) {
-      sent_node_vt_[p] = vt_max(std::move(sent_node_vt_[p]), floor);
-      sent_mgr_vt_[p] = vt_max(std::move(sent_mgr_vt_[p]), floor);
-    }
-    gc_floor_applied_ = vt_max(std::move(gc_floor_applied_), floor);
+  const std::size_t dropped = log_.gc_to(floor);
+  if (dropped)
+    stats_.gc_records_reclaimed.fetch_add(dropped, std::memory_order_relaxed);
+  // Every node already knows the records below the floor, so they must
+  // never ride a delta again: raise the sent-caches so delta_since never
+  // reaches into the reclaimed prefix.
+  for (std::uint32_t p = 0; p < num_nodes_; ++p) {
+    sent_node_vt_[p] = vt_max(std::move(sent_node_vt_[p]), floor);
+    sent_mgr_vt_[p] = vt_max(std::move(sent_mgr_vt_[p]), floor);
   }
+  gc_floor_applied_ = vt_max(std::move(gc_floor_applied_), floor);
   gc_validate_pages(floor);
-  {
-    // Every notice at or below the floor is now resolved (pinned or applied):
-    // the exchange's ack fold may release writers' diff sources against it.
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
-  }
+  // Every notice at or below the floor is now resolved (pinned or applied):
+  // the exchange's ack fold may release writers' diff sources against it.
+  gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
 }
 
 void Node::gc_validate_pages(const VectorTime& floor) {
@@ -360,14 +341,11 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   // diffs are not already held locally.  Pages still carrying notices are
   // re-flagged for the next pass — a notice that is above this floor will be
   // below a later one.  Only the compute thread removes notices or touches
-  // the diff cache, so the collected work stays valid after the page locks
-  // drop; the service thread can only append newer (above-floor) notices
-  // meanwhile.
+  // the diff cache, so the collected work stays valid while the fetch waits
+  // with the lock released; the service thread can only append newer
+  // (above-floor) notices meanwhile.
   std::vector<PageIndex> scan;
-  {
-    std::lock_guard<std::mutex> lock(gc_scan_mu_);
-    scan.swap(gc_scan_pages_);
-  }
+  scan.swap(gc_scan_pages_);
   std::sort(scan.begin(), scan.end());
   scan.erase(std::unique(scan.begin(), scan.end()), scan.end());
 
@@ -381,7 +359,6 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<PageIndex> keep;  // pages to revisit at the next barrier
   for (PageIndex page : scan) {
     PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
     if (e.unapplied.empty()) continue;  // a fault applied everything already
     keep.push_back(page);
     PageWork w;
@@ -402,10 +379,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     }
     if (!w.old.empty()) work.push_back(std::move(w));
   }
-  if (!keep.empty()) {
-    std::lock_guard<std::mutex> lock(gc_scan_mu_);
-    gc_scan_pages_.insert(gc_scan_pages_.end(), keep.begin(), keep.end());
-  }
+  gc_scan_pages_.insert(gc_scan_pages_.end(), keep.begin(), keep.end());
   if (work.empty()) return;
 
   // Fetch: one request per (page, writer), through the shared batched path.
@@ -428,7 +402,6 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
   for (PageWork& w : work) {
     PageEntry& e = pages_[w.page];
-    std::lock_guard<std::mutex> lock(e.mu);
     NOW_CHECK(e.state == PageState::kInvalid)
         << "page " << w.page << " has unapplied notices but is not invalid";
     for (const auto& [writer, seqs] : w.fetch) {
@@ -522,28 +495,23 @@ void Node::gc_poll() {
   if (!cfg.on_demand_gc_enabled()) return;
   // Apply a parked departure first: its floor may already put this node
   // back under the ceiling without another exchange.
-  if (gc_parked_flag_.load(std::memory_order_acquire)) {
+  if (gc_parked_flag_) {
     maybe_crash();  // "mid GC exchange" crash site: departure parked, not applied
-    VectorTime floor, ack;
-    {
-      std::lock_guard<std::mutex> lock(gc_depart_mu_);
-      floor = std::move(gc_parked_floor_);
-      ack = std::move(gc_parked_ack_);
-      gc_parked_floor_.clear();
-      gc_parked_ack_.clear();
-      gc_parked_flag_.store(false, std::memory_order_release);
-    }
+    const VectorTime floor = std::move(gc_parked_floor_);
+    const VectorTime ack = std::move(gc_parked_ack_);
+    gc_parked_floor_.clear();
+    gc_parked_ack_.clear();
+    gc_parked_flag_ = false;
     gc_raise_floor(floor);
     gc_reclaim_store_to(ack[id_]);
-    relay_prune(gc_floor_snapshot());
+    relay_prune(gc_floor_applied_);
   }
   if (meta_bytes() <= cfg.meta_ceiling_bytes) return;
   // One initiation per generation, not one per sync op: while the exchange
   // this node asked for is still in flight, stay quiet.
-  const std::uint32_t seen = gc_gen_seen_.load(std::memory_order_relaxed);
-  if (gc_gen_requested_ > seen) return;
+  if (gc_gen_requested_ > gc_gen_seen_) return;
   maybe_crash();  // "mid GC exchange" crash site: about to root an exchange
-  gc_gen_requested_ = seen + 1;
+  gc_gen_requested_ = gc_gen_seen_ + 1;
   ByteWriter w;
   w.u8(0);   // initiate
   w.u32(0);  // generation: assigned by the root
@@ -559,20 +527,17 @@ void Node::gc_reclaim_store_to(std::uint32_t ack_seq) {
   gc_reclaimed_seq_ = ack_seq;
   std::uint64_t bytes = 0;
   std::size_t entries = 0;
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    for (auto it = diff_store_.begin(); it != diff_store_.end();) {
-      if (static_cast<std::uint32_t>(it->first) <= ack_seq) {
-        for (const DiffBytes& d : it->second) bytes += d.size();
-        ++entries;
-        it = diff_store_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = diff_store_.begin(); it != diff_store_.end();) {
+    if (static_cast<std::uint32_t>(it->first) <= ack_seq) {
+      for (const DiffBytes& d : it->second) bytes += d.size();
+      ++entries;
+      it = diff_store_.erase(it);
+    } else {
+      ++it;
     }
   }
   if (entries) {
-    diff_store_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    diff_store_bytes_ -= bytes;
     stats_.gc_diff_bytes_reclaimed.fetch_add(bytes, std::memory_order_relaxed);
     NOW_LOG(kDebug, "node %u GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
             id_, entries, static_cast<unsigned long long>(bytes), ack_seq);
@@ -594,9 +559,6 @@ void Node::relay_keep(PageIndex page, PageEntry& e, std::uint32_t writer,
   // Stale keys (evicted, applied-and-erased or pinned since) now outnumber
   // the live ones: keep only what still indexes stock.  Amortized O(1) per
   // key: the next compaction needs as many new keys as survive this one.
-  // The caller holds e.mu, so this page's stock is checked without
-  // re-locking it; taking a second page's mu under it cannot deadlock, as
-  // no other thread ever holds two page locks.
   relay_index_keys_ = 0;
   for (std::uint32_t w = 0; w < num_nodes_; ++w) {
     auto& h = relay_index_[w];
@@ -604,11 +566,8 @@ void Node::relay_keep(PageIndex page, PageEntry& e, std::uint32_t writer,
     h.erase(std::unique(h.begin(), h.end()), h.end());
     h.erase(std::remove_if(h.begin(), h.end(),
                            [&](const std::pair<std::uint32_t, PageIndex>& k) {
-                             if (k.second == page)
-                               return !e.diff_cache.holds_stock(w, k.first);
-                             PageEntry& ke = pages_[k.second];
-                             std::lock_guard<std::mutex> lock(ke.mu);
-                             return !ke.diff_cache.holds_stock(w, k.first);
+                             return !pages_[k.second].diff_cache.holds_stock(
+                                 w, k.first);
                            }),
             h.end());
     std::make_heap(h.begin(), h.end(), kRelayHeapOrder);
@@ -627,9 +586,7 @@ void Node::relay_prune(const VectorTime& floor) {
       const auto [seq, page] = heap.back();
       heap.pop_back();
       --relay_index_keys_;
-      PageEntry& e = pages_[page];
-      std::lock_guard<std::mutex> lock(e.mu);
-      if (e.diff_cache.drop_stock(w, seq, &bytes)) ++chunks;
+      if (pages_[page].diff_cache.drop_stock(w, seq, &bytes)) ++chunks;
     }
   }
   if (chunks) {
@@ -660,14 +617,11 @@ void Node::gc_exchange_begin(std::uint32_t gen, std::uint64_t base_ts) {
   NOW_CHECK(!gc_ex_.active) << "overlapping GC exchange generations";
   gc_ex_.active = true;
   gc_ex_.gen = gen;
-  {
-    // Snapshot under meta_mu_: a compute-thread validation pass racing this
-    // snapshot can only make the validated floor *smaller* than current —
-    // conservative for the ack fold, never unsafe.
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    gc_ex_.fold_vt = log_.vt();
-    gc_ex_.fold_ack = gc_floor_validated_;
-  }
+  // A compute-thread validation pass waiting on its fetch leaves the
+  // validated floor *smaller* than it will be — conservative for the ack
+  // fold, never unsafe.
+  gc_ex_.fold_vt = log_.vt();
+  gc_ex_.fold_ack = gc_floor_validated_;
   const std::vector<std::uint32_t> children = rt_.topology().barrier_children(id_);
   gc_ex_.awaiting = static_cast<std::uint32_t>(children.size());
   for (std::uint32_t child : children) {
@@ -739,23 +693,17 @@ void Node::gc_depart_apply(std::uint32_t gen, const VectorTime& floor,
   // Park for the compute thread's next gc_poll.  Two departures may land
   // between polls: merge by vt_max (both vectors are monotone across
   // generations, so the merge is the newest of each).
-  {
-    std::lock_guard<std::mutex> lock(gc_depart_mu_);
-    if (gc_parked_floor_.empty()) {
-      gc_parked_floor_ = floor;
-      gc_parked_ack_ = ack;
-    } else {
-      gc_parked_floor_ = vt_max(std::move(gc_parked_floor_), floor);
-      gc_parked_ack_ = vt_max(std::move(gc_parked_ack_), ack);
-    }
-    gc_parked_flag_.store(true, std::memory_order_release);
+  if (gc_parked_floor_.empty()) {
+    gc_parked_floor_ = floor;
+    gc_parked_ack_ = ack;
+  } else {
+    gc_parked_floor_ = vt_max(std::move(gc_parked_floor_), floor);
+    gc_parked_ack_ = vt_max(std::move(gc_parked_ack_), ack);
   }
+  gc_parked_flag_ = true;
   // Monotone max: a straggling lower-generation departure (reordered behind
   // a newer one on another path) must not roll the seen mark back.
-  std::uint32_t seen = gc_gen_seen_.load(std::memory_order_relaxed);
-  while (seen < gen && !gc_gen_seen_.compare_exchange_weak(
-                           seen, gen, std::memory_order_relaxed)) {
-  }
+  gc_gen_seen_ = std::max(gc_gen_seen_, gen);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,46 +721,41 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
   // The push section must land after the merge (the pushed diffs cover the
   // write notices the records just created) and runs on this compute thread,
   // which is the only mutator of the page diff caches — the same partition
-  // invariant the fault path relies on.
+  // invariant the fault path relies on across its fetch.
   lock_land_push(lock_id, grant.src, r);
   if (rt_.config().gc_lock_floors) gc_raise_floor(floor);
   // Relay stock at or below the applied floor can never serve a fault nor
   // ride a future grant delta again: drop it here, on the chain itself, so
   // a rotating barrier-free loop's stock stays bounded.  Pops only what the
   // floor covers — this runs on every grant.
-  relay_prune(gc_floor_snapshot());
+  relay_prune(gc_floor_applied_);
   return lock_id;
 }
 
 void Node::lock_acquire(std::uint32_t lock_id) {
   sync_cpu();
+  ProtoGuard guard(*this);
   maybe_crash();  // "mid lock chain" crash site (requester side)
   gc_poll();
   stats_.lock_acquires.fetch_add(1, std::memory_order_relaxed);
   NOW_CHECK_NE(lock_id, kBarrierPushKey) << "lock id reserved as a push key";
-  {
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
-    NOW_CHECK(!st.held) << "recursive acquire of lock " << lock_id;
-    if (st.cached) {
-      // This node was the last holder; re-acquiring is free (TreadMarks lock
-      // caching).  Consistency needs nothing: the release chain ends here.
-      st.held = true;
-      stats_.lock_acquires_cached.fetch_add(1, std::memory_order_relaxed);
-      lock_push_begin_cs(lock_id);
-      return;
-    }
-    st.awaiting = true;
+  LockClientState& st = lock_client_[lock_id];
+  NOW_CHECK(!st.held) << "recursive acquire of lock " << lock_id;
+  if (st.cached) {
+    // This node was the last holder; re-acquiring is free (TreadMarks lock
+    // caching).  Consistency needs nothing: the release chain ends here.
+    st.held = true;
+    stats_.lock_acquires_cached.fetch_add(1, std::memory_order_relaxed);
+    lock_push_begin_cs(lock_id);
+    return;
   }
+  st.awaiting = true;
 
   ByteWriter w;
   w.u32(lock_id);
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    KnowledgeLog::serialize_vt(w, log_.vt());
-    // Applied GC floor, for the manager's sparse duty log (see sema_signal).
-    KnowledgeLog::serialize_vt(w, gc_floor_applied_);
-  }
+  KnowledgeLog::serialize_vt(w, log_.vt());
+  // Applied GC floor, for the manager's sparse duty log (see sema_signal).
+  KnowledgeLog::serialize_vt(w, gc_floor_applied_);
   sim::Message m;
   m.type = kLockAcquire;
   m.dst = rt_.topology().lock_manager(lock_id);
@@ -822,18 +765,15 @@ void Node::lock_acquire(std::uint32_t lock_id) {
   sim::Message grant = lock_grant_slot_.take();
   const std::uint32_t granted = consume_lock_grant(grant);
   NOW_CHECK_EQ(granted, lock_id);
-  {
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
-    st.held = true;
-    st.cached = true;
-    st.awaiting = false;
-  }
+  st.held = true;
+  st.cached = true;
+  st.awaiting = false;
   lock_push_begin_cs(lock_id);
 }
 
 void Node::lock_release(std::uint32_t lock_id) {
   sync_cpu();
+  ProtoGuard guard(*this);
   maybe_crash();  // "mid lock chain" crash site (holder side: grant withheld)
   gc_poll();
   close_interval();
@@ -841,31 +781,28 @@ void Node::lock_release(std::uint32_t lock_id) {
   // grant below (and any later cached grant from the service thread) reads
   // the protected set the fold just updated.
   lock_push_end_cs(lock_id);
-  std::optional<PendingGrant> pending;
-  {
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
-    NOW_CHECK(st.held) << "release of unheld lock " << lock_id;
-    st.held = false;
-    if (st.pending) {
-      pending = std::move(st.pending);
-      st.pending.reset();
-      st.cached = false;
-    }
-  }
-  if (pending)
-    grant_lock(lock_id, pending->requester, pending->vt, 0, /*from_service=*/false);
+  LockClientState& st = lock_client_[lock_id];
+  NOW_CHECK(st.held) << "release of unheld lock " << lock_id;
+  st.held = false;
+  grant_pending(lock_id, st);
+}
+
+void Node::grant_pending(std::uint32_t lock_id, LockClientState& st) {
+  if (!st.pending) return;
+  const PendingGrant pending = std::move(*st.pending);
+  st.pending.reset();
+  st.cached = false;
+  grant_lock(lock_id, pending.requester, pending.vt, 0, /*from_service=*/false);
 }
 
 void Node::grant_lock(std::uint32_t lock_id, std::uint32_t requester,
                       const VectorTime& vt, std::uint64_t base_ts,
                       bool from_service) {
-  // Both threads can grant to the same requester at once (compute: a
-  // pending grant at release; service: a forward hitting the ownership
-  // cache — two disjoint locks migrating along the same edge).  The cut
-  // and the enqueue must not interleave, or the later cut's grant lands
-  // on the wire first and the requester's dense merge sees a gap.
-  std::lock_guard<std::mutex> order(delta_send_mu_[requester]);
+  // Both threads can grant to the same requester (compute: a pending grant
+  // at release; service: a forward hitting the ownership cache — two
+  // disjoint locks migrating along the same edge).  The protocol lock,
+  // held from the cut below to the enqueue, keeps the cuts in wire order,
+  // so the requester's dense merge never sees a gap.
   auto delta = take_delta_for(requester, Cache::kNodeLog, &vt);
   if (log_enabled(LogLevel::kDebug)) {
     std::string recs;
@@ -877,7 +814,7 @@ void Node::grant_lock(std::uint32_t lock_id, std::uint32_t requester,
   }
   ByteWriter w;
   w.u32(lock_id);
-  KnowledgeLog::serialize_vt(w, gc_floor_snapshot());
+  KnowledgeLog::serialize_vt(w, gc_floor_applied_);
   KnowledgeLog::serialize_records(w, delta);
   append_lock_push(w, lock_id, delta);
   sim::Message m;
@@ -912,7 +849,7 @@ void Node::mgr_route_lock(std::uint32_t lock_id, std::uint32_t requester,
     L.tail = requester;
     ByteWriter w;
     w.u32(lock_id);
-    KnowledgeLog::serialize_vt(w, gc_floor_snapshot());
+    KnowledgeLog::serialize_vt(w, gc_floor_applied_);
     KnowledgeLog::serialize_records(w, mgr_delta_since(vt));
     w.u32(0);  // no migratory push from the manager (it holds no diffs)
     sim::Message grant;
@@ -945,13 +882,12 @@ void Node::on_lock_forward(sim::Message&& m) {
   if (requester == id_) {
     // A condvar wakeup routed back to ourselves: nobody acquired the lock
     // since we released it in cond_wait, so we still cache it.
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
+    const LockClientState& st = lock_client_[lock_id];
     NOW_CHECK(!st.held && st.cached && st.awaiting)
         << "self-forward in unexpected lock state";
     ByteWriter w;
     w.u32(lock_id);
-    KnowledgeLog::serialize_vt(w, gc_floor_snapshot());
+    KnowledgeLog::serialize_vt(w, gc_floor_applied_);
     KnowledgeLog::serialize_records(w, {});
     w.u32(0);  // nothing to push to ourselves
     sim::Message grant;
@@ -962,26 +898,21 @@ void Node::on_lock_forward(sim::Message&& m) {
     return;
   }
 
-  bool grant_now = false;
-  {
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
-    // `awaiting && cached` means our compute thread is blocked in cond_wait:
-    // it already released the lock (keeping the ownership cache), so the
-    // service thread can pass the lock on immediately.  Queuing here would
-    // deadlock — the signal that wakes us needs this very lock.
-    if (st.held || (st.awaiting && !st.cached)) {
-      NOW_CHECK(!st.pending) << "two pending lock requesters";
-      st.pending = PendingGrant{requester, vt};
-    } else {
-      NOW_CHECK(st.cached) << "lock forward reached a non-owner";
-      st.cached = false;
-      grant_now = true;
-    }
+  LockClientState& st = lock_client_[lock_id];
+  // `awaiting && cached` means our compute thread is blocked in cond_wait:
+  // it already released the lock (keeping the ownership cache), so the
+  // service thread can pass the lock on immediately.  Queuing here would
+  // deadlock — the signal that wakes us needs this very lock.
+  if (st.held || (st.awaiting && !st.cached)) {
+    NOW_CHECK(!st.pending) << "two pending lock requesters";
+    st.pending = PendingGrant{requester, vt};
+    NOW_LOG(kDebug, "node %u: forward lock %u: queued pending", id_, lock_id);
+    return;
   }
-  NOW_LOG(kDebug, "node %u: forward lock %u: %s", id_, lock_id,
-          grant_now ? "grant from cache" : "queued pending");
-  if (grant_now) grant_lock(lock_id, requester, vt, m.arrive_ts_ns, /*from_service=*/true);
+  NOW_CHECK(st.cached) << "lock forward reached a non-owner";
+  st.cached = false;
+  NOW_LOG(kDebug, "node %u: forward lock %u: grant from cache", id_, lock_id);
+  grant_lock(lock_id, requester, vt, m.arrive_ts_ns, /*from_service=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -990,15 +921,13 @@ void Node::on_lock_forward(sim::Message&& m) {
 
 void Node::sema_wait(std::uint32_t sema_id) {
   sync_cpu();
+  ProtoGuard guard(*this);
   maybe_crash();
   gc_poll();
   stats_.sema_ops.fetch_add(1, std::memory_order_relaxed);
   ByteWriter w;
   w.u32(sema_id);
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    KnowledgeLog::serialize_vt(w, log_.vt());
-  }
+  KnowledgeLog::serialize_vt(w, log_.vt());
   sim::Message reply = rpc_call(rt_.topology().sema_manager(sema_id), kSemaWait, w.take());
   ByteReader r(reply.payload);
   merge_and_invalidate(KnowledgeLog::deserialize_records(r));
@@ -1006,6 +935,7 @@ void Node::sema_wait(std::uint32_t sema_id) {
 
 void Node::sema_signal(std::uint32_t sema_id) {
   sync_cpu();
+  ProtoGuard guard(*this);
   maybe_crash();
   gc_poll();
   stats_.sema_ops.fetch_add(1, std::memory_order_relaxed);
@@ -1019,7 +949,7 @@ void Node::sema_signal(std::uint32_t sema_id) {
   // above records the manager never saw still merges contiguously — with no
   // assumption about whether the manager has processed its own barrier
   // departure yet.
-  KnowledgeLog::serialize_vt(w, gc_floor_snapshot());
+  KnowledgeLog::serialize_vt(w, gc_floor_applied_);
   KnowledgeLog::serialize_records(w, delta);
   rpc_call(mgr, kSemaSignal, w.take());  // kSemaAck
 }
@@ -1078,6 +1008,7 @@ void Node::on_sema_signal(sim::Message&& m) {
 void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
   NOW_LOG(kDebug, "node %u: cond_wait(%u,%u) begin", id_, lock_id, cond_id);
   sync_cpu();
+  ProtoGuard guard(*this);
   gc_poll();
   stats_.cond_ops.fetch_add(1, std::memory_order_relaxed);
   close_interval();
@@ -1094,11 +1025,8 @@ void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
   ByteWriter w;
   w.u32(lock_id);
   w.u32(cond_id);
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    KnowledgeLog::serialize_vt(w, log_.vt());
-    KnowledgeLog::serialize_vt(w, gc_floor_applied_);  // see sema_signal
-  }
+  KnowledgeLog::serialize_vt(w, log_.vt());
+  KnowledgeLog::serialize_vt(w, gc_floor_applied_);  // see sema_signal
   KnowledgeLog::serialize_records(w, delta);
   // On a perfect wire "reaches the mailbox first" holds by construction:
   // send_compute delivers synchronously, so the registration is queued
@@ -1126,39 +1054,26 @@ void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
 
   // Now release the lock locally so other threads can enter the critical
   // section and change the condition.
-  std::optional<PendingGrant> pending;
-  {
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
-    NOW_CHECK(st.held) << "cond_wait outside the critical section";
-    st.held = false;
-    st.awaiting = true;
-    if (st.pending) {
-      pending = std::move(st.pending);
-      st.pending.reset();
-      st.cached = false;
-    }
-  }
-  if (pending)
-    grant_lock(lock_id, pending->requester, pending->vt, 0, /*from_service=*/false);
+  LockClientState& st = lock_client_[lock_id];
+  NOW_CHECK(st.held) << "cond_wait outside the critical section";
+  st.held = false;
+  st.awaiting = true;
+  grant_pending(lock_id, st);
 
   // Block until a signal re-routes the lock to us.
   sim::Message grant = lock_grant_slot_.take();
   const std::uint32_t granted = consume_lock_grant(grant);
   NOW_CHECK_EQ(granted, lock_id);
-  {
-    std::lock_guard<std::mutex> lock(lock_client_mu_);
-    LockClientState& st = lock_client_[lock_id];
-    st.held = true;
-    st.cached = true;
-    st.awaiting = false;
-  }
+  st.held = true;
+  st.cached = true;
+  st.awaiting = false;
   lock_push_begin_cs(lock_id);
   NOW_LOG(kDebug, "node %u: cond_wait(%u,%u) woke", id_, lock_id, cond_id);
 }
 
 void Node::cond_notify(std::uint32_t lock_id, std::uint32_t cond_id, bool broadcast) {
   sync_cpu();
+  ProtoGuard guard(*this);
   gc_poll();
   stats_.cond_ops.fetch_add(1, std::memory_order_relaxed);
   // The signal itself is not a release of the lock, but the manager's later
@@ -1169,7 +1084,7 @@ void Node::cond_notify(std::uint32_t lock_id, std::uint32_t cond_id, bool broadc
   ByteWriter w;
   w.u32(lock_id);
   w.u32(cond_id);
-  KnowledgeLog::serialize_vt(w, gc_floor_snapshot());  // see sema_signal
+  KnowledgeLog::serialize_vt(w, gc_floor_applied_);  // see sema_signal
   KnowledgeLog::serialize_records(w, delta);
   sim::Message m;
   m.type = broadcast ? kCondBroadcast : kCondSignal;
@@ -1234,6 +1149,7 @@ void Node::on_cond_signal(sim::Message&& m, bool broadcast) {
 
 void Node::flush() {
   sync_cpu();
+  ProtoGuard guard(*this);
   gc_poll();
   stats_.flushes.fetch_add(1, std::memory_order_relaxed);
   close_interval();
@@ -1246,9 +1162,6 @@ void Node::flush() {
   std::vector<Call> calls;
   for (std::uint32_t peer = 0; peer < num_nodes_; ++peer) {
     if (peer == id_) continue;
-    // Cut-to-enqueue ordering vs a concurrent service-thread grant to the
-    // same peer (see grant_lock).
-    std::lock_guard<std::mutex> order(delta_send_mu_[peer]);
     auto delta = take_delta_for(peer, Cache::kNodeLog, nullptr);
     ByteWriter w;
     KnowledgeLog::serialize_records(w, delta);
@@ -1273,6 +1186,7 @@ void Node::flush() {
 
 void Node::fork_slaves(ForkFn fn, const void* arg, std::size_t arg_size) {
   sync_cpu();
+  ProtoGuard guard(*this);
   close_interval();
   // Fork is a barrier-free release point: nothing is pushed here, so the
   // push pass's candidate list must not accumulate across regions.
@@ -1283,16 +1197,9 @@ void Node::fork_slaves(ForkFn fn, const void* arg, std::size_t arg_size) {
   // slave up to exactly it.  Piggyback it as a GC floor: each slave applies
   // it on its compute thread before the region body runs (so its validation
   // fetches are served before it can join), and the master applies it here.
-  VectorTime floor;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    floor = log_.vt();
-  }
+  const VectorTime floor = log_.vt();
   for (std::uint32_t slave = 0; slave < num_nodes_; ++slave) {
     if (slave == id_) continue;
-    // Cut-to-enqueue ordering vs a concurrent service-thread grant to the
-    // same peer (see grant_lock).
-    std::lock_guard<std::mutex> order(delta_send_mu_[slave]);
     auto delta = take_delta_for(slave, Cache::kNodeLog, nullptr);
     ByteWriter w;
     w.u64(reinterpret_cast<std::uint64_t>(fn));
@@ -1311,6 +1218,7 @@ void Node::fork_slaves(ForkFn fn, const void* arg, std::size_t arg_size) {
 void Node::join_slaves() {
   // Join records were already merged by the service thread on receipt (see
   // handle_message); here the master only synchronizes time.
+  ProtoGuard guard(*this);
   for (std::uint32_t i = 0; i + 1 < num_nodes_; ++i) {
     sim::Message m = join_slot_.take();
     arrive(m);
@@ -1318,6 +1226,7 @@ void Node::join_slaves() {
 }
 
 void Node::shutdown_slaves() {
+  ProtoGuard guard(*this);
   for (std::uint32_t slave = 0; slave < num_nodes_; ++slave) {
     if (slave == id_) continue;
     sim::Message m;
@@ -1328,48 +1237,50 @@ void Node::shutdown_slaves() {
 }
 
 bool Node::slave_serve_one(Tmk& tmk) {
-  sim::Message m = fork_slot_.take();
-  if (m.type == kShutdown) return false;
+  ForkFn fn = nullptr;
+  std::vector<std::uint8_t> arg;
+  {
+    ProtoGuard guard(*this);
+    sim::Message m = fork_slot_.take();
+    if (m.type == kShutdown) return false;
 
-  // Fork records were already merged by the service thread on receipt.
-  ByteReader r(m.payload);
-  auto fn = reinterpret_cast<ForkFn>(r.u64());
-  std::vector<std::uint8_t> arg = r.bytes();
-  const VectorTime fork_floor = KnowledgeLog::deserialize_vt(r);
-  arrive(m);
-  gc_poll();
+    // Fork records were already merged by the service thread on receipt.
+    ByteReader r(m.payload);
+    fn = reinterpret_cast<ForkFn>(r.u64());
+    arg = r.bytes();
+    const VectorTime fork_floor = KnowledgeLog::deserialize_vt(r);
+    arrive(m);
+    gc_poll();
 
-  // Fork-point GC (compute thread, before the region body): with the fork
-  // delta merged, this node's knowledge dominates the piggybacked floor.
-  // The validation fetches are synchronous, so they are served before this
-  // slave can run the region and join — which is what lets every node
-  // reclaim its own ≤-previous-floor diffs at the *next* fork safely.
-  if (rt_.config().gc_fork_join) gc_at_barrier(fork_floor);
+    // Fork-point GC (compute thread, before the region body): with the fork
+    // delta merged, this node's knowledge dominates the piggybacked floor.
+    // The validation fetches are synchronous, so they are served before this
+    // slave can run the region and join — which is what lets every node
+    // reclaim its own ≤-previous-floor diffs at the *next* fork safely.
+    if (rt_.config().gc_fork_join) gc_at_barrier(fork_floor);
+  }
 
+  // The region body is application code: it runs without the lock, and
+  // faults take it themselves.
   fn(tmk, arg.data(), arg.size());
 
   sync_cpu();
+  ProtoGuard guard(*this);
   close_interval();
   epoch_dirty_.clear();  // join: barrier-free release point, see fork_slaves
   const std::uint32_t master = rt_.topology().master_node();
+  ByteWriter w;
+  KnowledgeLog::serialize_records(w, take_delta_for(master, Cache::kNodeLog, nullptr));
   sim::Message join;
-  {
-    // Cut-to-enqueue ordering vs a concurrent service-thread grant to the
-    // same peer (see grant_lock).
-    std::lock_guard<std::mutex> order(delta_send_mu_[master]);
-    auto delta = take_delta_for(master, Cache::kNodeLog, nullptr);
-    ByteWriter w;
-    KnowledgeLog::serialize_records(w, delta);
-    join.type = kJoin;
-    join.dst = master;
-    join.payload = w.take();
-    send_compute(std::move(join));
-  }
+  join.type = kJoin;
+  join.dst = master;
+  join.payload = w.take();
+  send_compute(std::move(join));
   return true;
 }
 
 void Node::debug_dump() {
-  std::lock_guard<std::mutex> lock(lock_client_mu_);
+  ProtoGuard guard(*this);
   for (auto& [id, st] : lock_client_) {
     std::fprintf(stderr,
                  "[dump] node %u lock %u: held=%d cached=%d awaiting=%d pending=%s\n",
@@ -1391,6 +1302,7 @@ void Node::debug_dump() {
 
 std::uint64_t Node::shared_malloc(std::size_t bytes, std::size_t align) {
   sync_cpu();
+  ProtoGuard guard(*this);
   ByteWriter w;
   w.u64(bytes);
   w.u64(align);
@@ -1401,6 +1313,7 @@ std::uint64_t Node::shared_malloc(std::size_t bytes, std::size_t align) {
 
 void Node::shared_free(std::uint64_t offset) {
   sync_cpu();
+  ProtoGuard guard(*this);
   ByteWriter w;
   w.u64(offset);
   rpc_call(rt_.topology().alloc_server(), kFreeRequest, w.take());

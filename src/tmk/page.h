@@ -2,10 +2,8 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -81,16 +79,15 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //    chain.  Droppable — every writer still holds its diff, so a miss only
 //    costs the asker a direct fetch — and dropped by Node::relay_prune once
 //    a floor covers it.
-// Only the compute thread mutates the cache, always under the page's mu;
-// the service thread reads stock under the same mu.
+// Only the compute thread mutates the cache; the service thread reads stock.
+// Both under the node's protocol lock.
 class PageDiffCache {
  public:
-  // Mirrors every bytes_ change into a node-wide counter (a relaxed atomic
-  // owned by the Node), so the on-demand GC's ceiling check can read the
-  // cluster of per-page caches in O(1) instead of walking the page table on
-  // every sync operation.  Bound once, when the page table allocates the
-  // entry's chunk.
-  void bind_total(std::atomic<std::size_t>* total) { total_ = total; }
+  // Mirrors every bytes_ change into a node-wide counter owned by the Node,
+  // so the on-demand GC's ceiling check can read the cluster of per-page
+  // caches in O(1) instead of walking the page table on every sync
+  // operation.  Bound once, when the page table allocates the entry's chunk.
+  void bind_total(std::size_t* total) { total_ = total; }
 
   struct Entry {
     std::vector<DiffBytes> chunks;
@@ -239,11 +236,11 @@ class PageDiffCache {
   }
   void add_bytes(std::size_t n) {
     bytes_ += n;
-    if (total_ != nullptr) total_->fetch_add(n, std::memory_order_relaxed);
+    if (total_ != nullptr) *total_ += n;
   }
   void sub_bytes(std::size_t n) {
     bytes_ -= n;
-    if (total_ != nullptr) total_->fetch_sub(n, std::memory_order_relaxed);
+    if (total_ != nullptr) *total_ -= n;
   }
   // Whether FIFO slot `i` is the live position of entry `e`.
   static bool owns_slot(const Entry& e, std::size_t i) {
@@ -281,7 +278,7 @@ class PageDiffCache {
   std::size_t bytes_ = 0;
   std::size_t pinned_bytes_ = 0;  // subset of bytes_ held by pinned entries
   std::size_t relay_bytes_ = 0;   // subset of bytes_ held as relay stock
-  std::atomic<std::size_t>* total_ = nullptr;  // node-wide mirror of bytes_
+  std::size_t* total_ = nullptr;  // node-wide mirror of bytes_
 };
 
 // Which push keying left a page armed (PageEntry::push_armed): the barrier
@@ -289,10 +286,6 @@ class PageDiffCache {
 enum class PushKind : std::uint8_t { kNone, kBarrier, kLock };
 
 struct PageEntry {
-  // Serializes page-state transitions between the node's compute thread
-  // (faults, invalidations) and its service thread (diff materialization).
-  std::mutex mu;
-
   PageState state = PageState::kInvalid;
   bool ever_valid = false;  // false => local copy is the initial zero page
   bool twin_valid = false;  // whether `twin` below holds a twin
@@ -310,10 +303,10 @@ struct PageEntry {
   // Write notices to apply at the next fault, sorted on use by lamport.
   std::vector<UnappliedNotice> unapplied;
 
-  // Diff chunks this node has already fetched for the page (guarded by mu).
+  // Diff chunks this node has already fetched for the page.
   PageDiffCache diff_cache;
 
-  // ---- push engine, landing side (guarded by mu) ----
+  // ---- push engine, landing side ----
   // Armed: a push applied every wanted diff and the contents are current,
   // but the page is deliberately left unmapped so the next access faults
   // once, locally — the liveness probe both push keyings share.  Records
@@ -341,47 +334,41 @@ constexpr std::size_t kPageChunkPages = 64;
 // its pages.  A page whose chunk is absent has never been touched on this
 // node — it is the initial zero page with no notices, twin or cached diffs —
 // so read-only walkers use find() / for_each() and skip it without
-// allocating.  Both the compute thread (faults) and the service thread
-// (merges at flush/fork/join) can reach a fresh chunk: growth serializes on
-// one mutex and publishes the chunk with release, lookups load with acquire.
+// allocating.  Like everything else in the node, the table is only touched
+// under the node's protocol lock.
 class PageTable {
  public:
   // `cache_total` is the node-wide mirror every entry's diff cache is bound
   // to (PageDiffCache::bind_total).
-  PageTable(std::size_t num_pages, std::atomic<std::size_t>* cache_total)
+  PageTable(std::size_t num_pages, std::size_t* cache_total)
       : num_pages_(num_pages),
-        num_chunks_((num_pages + kPageChunkPages - 1) / kPageChunkPages),
-        dir_(new std::atomic<Chunk*>[num_chunks_]),
-        cache_total_(cache_total) {
-    for (std::size_t c = 0; c < num_chunks_; ++c)
-      dir_[c].store(nullptr, std::memory_order_relaxed);
-  }
-  ~PageTable() {
-    for (std::size_t c = 0; c < num_chunks_; ++c)
-      delete dir_[c].load(std::memory_order_relaxed);
-  }
+        dir_((num_pages + kPageChunkPages - 1) / kPageChunkPages),
+        cache_total_(cache_total) {}
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
 
   // The entry for `page`, allocating its chunk on first touch.
   PageEntry& operator[](PageIndex page) {
     NOW_CHECK_LT(page, num_pages_) << "page outside the shared heap";
-    const std::size_t c = page / kPageChunkPages;
-    Chunk* chunk = dir_[c].load(std::memory_order_acquire);
-    if (chunk == nullptr) chunk = grow(c);
+    std::unique_ptr<Chunk>& chunk = dir_[page / kPageChunkPages];
+    if (chunk == nullptr) {
+      chunk = std::make_unique<Chunk>();
+      for (PageEntry& e : chunk->entries) e.diff_cache.bind_total(cache_total_);
+      ++chunks_;
+    }
     return chunk->entries[page % kPageChunkPages];
   }
   // The entry for `page`, or nullptr if its chunk was never allocated.
   PageEntry* find(PageIndex page) {
-    Chunk* chunk = dir_[page / kPageChunkPages].load(std::memory_order_acquire);
+    Chunk* chunk = dir_[page / kPageChunkPages].get();
     return chunk == nullptr ? nullptr : &chunk->entries[page % kPageChunkPages];
   }
   // Calls fn(page, entry) for every page of every allocated chunk, in page
   // order.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (std::size_t c = 0; c < num_chunks_; ++c) {
-      Chunk* chunk = dir_[c].load(std::memory_order_acquire);
+    for (std::size_t c = 0; c < dir_.size(); ++c) {
+      Chunk* chunk = dir_[c].get();
       if (chunk == nullptr) continue;
       const std::size_t first = c * kPageChunkPages;
       const std::size_t n = std::min(kPageChunkPages, num_pages_ - first);
@@ -390,29 +377,17 @@ class PageTable {
     }
   }
   // Chunks allocated so far (never freed before the table is).
-  std::size_t chunks() const { return chunks_.load(std::memory_order_relaxed); }
+  std::size_t chunks() const { return chunks_; }
 
  private:
   struct Chunk {
     PageEntry entries[kPageChunkPages];
   };
-  Chunk* grow(std::size_t c) {
-    std::lock_guard<std::mutex> lock(grow_mu_);
-    Chunk* chunk = dir_[c].load(std::memory_order_relaxed);  // grow_mu_ orders it
-    if (chunk != nullptr) return chunk;  // another thread won the race
-    chunk = new Chunk;
-    for (PageEntry& e : chunk->entries) e.diff_cache.bind_total(cache_total_);
-    dir_[c].store(chunk, std::memory_order_release);
-    chunks_.fetch_add(1, std::memory_order_relaxed);
-    return chunk;
-  }
 
   const std::size_t num_pages_;
-  const std::size_t num_chunks_;
-  std::unique_ptr<std::atomic<Chunk*>[]> dir_;
-  std::atomic<std::size_t>* const cache_total_;
-  std::mutex grow_mu_;
-  std::atomic<std::size_t> chunks_{0};
+  std::vector<std::unique_ptr<Chunk>> dir_;
+  std::size_t* const cache_total_;
+  std::size_t chunks_ = 0;
 };
 
 }  // namespace now::tmk

@@ -4,7 +4,9 @@
 // The compute thread issues requests and blocks; the service thread routes
 // matching replies back.  This is the user-level analogue of TreadMarks'
 // "request handler runs at SIGIO while the application blocks in the page
-// fault handler".
+// fault handler".  Both helpers live under their node's protocol lock: every
+// call is made with it held, and wait()/take() are where the compute thread
+// gives it up while it blocks.
 #pragma once
 
 #include <condition_variable>
@@ -38,18 +40,45 @@ struct NodeCrashedError : std::runtime_error {
   NodeCrashedError() : std::runtime_error("injected node crash") {}
 };
 
-// Seq-matched replies; supports several outstanding requests (a page fetch
-// requests diffs from every writer in parallel).
-//
+// What both helpers share: the lock they block on and the poison state.
 // Poisoning: when the service thread learns a peer died, every pending and
 // future wait must fail — the reply may simply never arrive.  poison()
-// wakes all waiters; a waiter whose reply already landed still gets it
+// wakes all waiters; a waiter whose message already landed still gets it
 // (the data is valid and keeping it reduces divergence), everyone else
 // throws NodeDownError.
-class RpcClient {
+class Rendezvous {
  public:
+  explicit Rendezvous(std::mutex& mu) : mu_(mu) {}
+
+  void poison(std::uint32_t victim) {
+    poisoned_ = true;
+    victim_ = victim;
+    cv_.notify_all();
+  }
+
+ protected:
+  // Blocks until `ready()` or poisoned, with the caller's hold on mu_
+  // released meanwhile and re-taken before returning.
+  template <typename Ready>
+  void block(Ready ready) {
+    std::unique_lock<std::mutex> lock(mu_, std::adopt_lock);
+    cv_.wait(lock, [&] { return poisoned_ || ready(); });
+    lock.release();  // the caller's hold continues
+  }
+
+  std::mutex& mu_;
+  std::condition_variable cv_;
+  bool poisoned_ = false;
+  std::uint32_t victim_ = 0;
+};
+
+// Seq-matched replies; supports several outstanding requests (a page fetch
+// requests diffs from every writer in parallel).
+class RpcClient : public Rendezvous {
+ public:
+  using Rendezvous::Rendezvous;
+
   std::uint64_t begin() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (poisoned_) throw NodeDownError(victim_);
     const std::uint64_t seq = next_seq_++;
     pending_.emplace(seq, std::nullopt);
@@ -57,10 +86,9 @@ class RpcClient {
   }
 
   sim::Message wait(std::uint64_t seq) {
-    std::unique_lock<std::mutex> lock(mu_);
     auto it = pending_.find(seq);
     NOW_CHECK(it != pending_.end()) << "rpc wait without begin";
-    cv_.wait(lock, [&] { return poisoned_ || it->second.has_value(); });
+    block([&] { return it->second.has_value(); });
     if (!it->second.has_value()) {
       pending_.erase(it);
       throw NodeDownError(victim_);
@@ -71,69 +99,38 @@ class RpcClient {
   }
 
   void fulfill(std::uint64_t seq, sim::Message&& m) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = pending_.find(seq);
-      NOW_CHECK(it != pending_.end()) << "unmatched rpc reply seq " << seq;
-      it->second = std::move(m);
-    }
-    cv_.notify_all();
-  }
-
-  void poison(std::uint32_t victim) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      poisoned_ = true;
-      victim_ = victim;
-    }
+    auto it = pending_.find(seq);
+    NOW_CHECK(it != pending_.end()) << "unmatched rpc reply seq " << seq;
+    it->second = std::move(m);
     cv_.notify_all();
   }
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
   std::uint64_t next_seq_ = 1;
-  bool poisoned_ = false;
-  std::uint32_t victim_ = 0;
   std::unordered_map<std::uint64_t, std::optional<sim::Message>> pending_;
 };
 
 // Single-slot wakeup for unsolicited messages the compute thread blocks on
-// (lock grants, the next fork).  Poisoning mirrors RpcClient: queued
-// messages drain first, then take() throws NodeDownError.
-class WaitSlot {
+// (lock grants, the next fork).  Queued messages drain before a poisoned
+// take() throws.
+class WaitSlot : public Rendezvous {
  public:
+  using Rendezvous::Rendezvous;
+
   void post(sim::Message&& m) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(m));
-    }
+    queue_.push_back(std::move(m));
     cv_.notify_all();
   }
 
   sim::Message take() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return poisoned_ || !queue_.empty(); });
+    block([&] { return !queue_.empty(); });
     if (queue_.empty()) throw NodeDownError(victim_);
     sim::Message m = std::move(queue_.front());
     queue_.pop_front();
     return m;
   }
 
-  void poison(std::uint32_t victim) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      poisoned_ = true;
-      victim_ = victim;
-    }
-    cv_.notify_all();
-  }
-
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool poisoned_ = false;
-  std::uint32_t victim_ = 0;
   std::deque<sim::Message> queue_;
 };
 

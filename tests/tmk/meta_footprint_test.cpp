@@ -9,7 +9,7 @@
 // tests pin the accounting exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstddef>
 
 #include "tmk/page.h"
 #include "tmk/tmk.h"
@@ -44,14 +44,14 @@ DsmConfig precise_cfg(std::uint32_t nodes) {
 }
 
 // ---------------------------------------------------------------------------
-// The node-wide atomic that PageDiffCache mirrors into must equal the sum of
+// The node-wide counter that PageDiffCache mirrors into must equal the sum of
 // the caches' own bytes() across every mutation path: budgeted insert, FIFO
 // eviction inside insert, pinned insert_gc, in-place pin promotion, erase,
 // and floor pruning.  Two caches bound to one total model a node's per-page
 // caches feeding one ceiling metric.
 // ---------------------------------------------------------------------------
 TEST(MetaFootprint, CacheMirrorTracksEveryMutationPath) {
-  std::atomic<std::size_t> total{0};
+  std::size_t total = 0;
   PageDiffCache a, b;
   a.bind_total(&total);
   b.bind_total(&total);
@@ -60,29 +60,29 @@ TEST(MetaFootprint, CacheMirrorTracksEveryMutationPath) {
   constexpr std::size_t kBudget = 400;
   EXPECT_TRUE(a.insert(1, 1, {DiffBytes(40, 1)}, kBudget));
   EXPECT_TRUE(b.insert(2, 1, {DiffBytes(60, 2)}, kBudget));
-  EXPECT_EQ(total.load(), 100u);
-  EXPECT_EQ(total.load(), sum());
+  EXPECT_EQ(total, 100u);
+  EXPECT_EQ(total, sum());
 
   // Pinned insert bypasses the budget; the mirror must still see it.
   a.insert_gc(3, 1, {DiffBytes(300, 3)});
-  EXPECT_EQ(total.load(), 400u);
-  EXPECT_EQ(total.load(), sum());
+  EXPECT_EQ(total, 400u);
+  EXPECT_EQ(total, sum());
 
   // This insert forces the eviction loop: (1,1) is the droppable victim.
   // The mirror must account both the eviction's subtract and the new add.
   EXPECT_TRUE(a.insert(1, 2, {DiffBytes(80, 4)}, kBudget));
   EXPECT_EQ(a.find(1, 1), nullptr);
-  EXPECT_EQ(total.load(), sum());
+  EXPECT_EQ(total, sum());
 
   // Promotion to pinned reclassifies the entry but moves no bytes.
-  const std::size_t before_pin = total.load();
+  const std::size_t before_pin = total;
   EXPECT_TRUE(a.pin_existing(1, 2));
-  EXPECT_EQ(total.load(), before_pin);
-  EXPECT_EQ(total.load(), sum());
+  EXPECT_EQ(total, before_pin);
+  EXPECT_EQ(total, sum());
 
   // Erase releases pinned bytes from the mirror too.
   a.erase(3, 1);
-  EXPECT_EQ(total.load(), sum());
+  EXPECT_EQ(total, sum());
 
   // Stock pruning drops droppable relay stock (and skips pins) in both
   // caches.
@@ -96,11 +96,11 @@ TEST(MetaFootprint, CacheMirrorTracksEveryMutationPath) {
   EXPECT_TRUE(b.drop_stock(2, 1, &pruned_bytes));
   EXPECT_TRUE(b.drop_stock(2, 2, &pruned_bytes));
   EXPECT_EQ(pruned_bytes, 110u);
-  EXPECT_EQ(total.load(), sum());
+  EXPECT_EQ(total, sum());
   ASSERT_NE(a.find(1, 2), nullptr);
 
   a.erase(1, 2);
-  EXPECT_EQ(total.load(), 0u);
+  EXPECT_EQ(total, 0u);
   EXPECT_EQ(sum(), 0u);
 }
 

@@ -5,13 +5,13 @@
 //  - an empty program on a 96 MB heap allocates no chunk on any node;
 //  - touching k pages costs at most ceil(k/64) + 1 chunks per node, and the
 //    prefetch window's neighbor scan never allocates an untouched chunk;
-//  - two threads racing on one fresh chunk publish it exactly once;
+//  - two threads taking turns on one fresh chunk publish it exactly once;
 //  - checkpoint staging, which skips absent chunks, still rolls a crashed
 //    run back to byte-identical memory.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -71,20 +71,22 @@ TEST(PageTable, ChunksTrackTouchedPages) {
   EXPECT_GT(s.prefetch_requests_batched, 0u);  // the scan did run
 }
 
-TEST(PageTable, RacingFirstTouchPublishesOneChunk) {
-  for (int round = 0; round < 1000; ++round) {
-    std::atomic<std::size_t> total{0};
+TEST(PageTable, TurnTakingFirstTouchPublishesOneChunk) {
+  // The compute and the service thread both reach fresh chunks (faults;
+  // merges at flush/fork/join), taking turns under their node's protocol
+  // lock: whichever touches a chunk first allocates it, and both see the
+  // same entries.
+  for (int round = 0; round < 100; ++round) {
+    std::size_t total = 0;
     PageTable t(2 * kPageChunkPages, &total);
+    std::mutex proto_mu;
     std::vector<PageEntry*> seen[2];
-    std::atomic<int> ready{0};
     auto touch = [&](int who) {
       seen[who].resize(kPageChunkPages);
-      ready.fetch_add(1);
-      while (ready.load() < 2) {
-      }
       // Opposite directions, so each thread's first index differs.
       for (std::size_t i = 0; i < kPageChunkPages; ++i) {
         const std::size_t p = who == 0 ? i : kPageChunkPages - 1 - i;
+        std::lock_guard<std::mutex> lock(proto_mu);
         seen[who][p] = &t[static_cast<PageIndex>(p)];
       }
     };

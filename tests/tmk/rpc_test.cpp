@@ -3,10 +3,13 @@
 // fetches, lock grants, fork/join) and, since crash injection, the poison
 // path that unwinds a compute thread when a peer dies — worth pinning at
 // this level because the integration tests only ever see the happy orderings
-// their schedules happen to produce.
+// their schedules happen to produce.  Every call runs under the mutex the
+// helper was built over (a node's protocol lock in the runtime); wait() and
+// take() give it up while they block.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -22,8 +25,17 @@ sim::Message msg(std::uint16_t type, std::uint64_t tag) {
   return m;
 }
 
+// The "service thread" side of a test: one call under the shared mutex.
+template <typename Fn>
+void locked(std::mutex& mu, Fn fn) {
+  std::lock_guard<std::mutex> lock(mu);
+  fn();
+}
+
 TEST(RpcClient, SeveralOutstandingFulfilledOutOfOrder) {
-  RpcClient rpc;
+  std::mutex mu;
+  RpcClient rpc(mu);
+  std::unique_lock<std::mutex> held(mu);
   const std::uint64_t a = rpc.begin();
   const std::uint64_t b = rpc.begin();
   const std::uint64_t c = rpc.begin();
@@ -40,17 +52,21 @@ TEST(RpcClient, SeveralOutstandingFulfilledOutOfOrder) {
 }
 
 TEST(RpcClient, WaitBlocksUntilFulfilled) {
-  RpcClient rpc;
+  std::mutex mu;
+  RpcClient rpc(mu);
+  std::unique_lock<std::mutex> held(mu);
   const std::uint64_t seq = rpc.begin();
-  std::thread service([&] { rpc.fulfill(seq, msg(3, 42)); });
+  std::thread service([&] { locked(mu, [&] { rpc.fulfill(seq, msg(3, 42)); }); });
   EXPECT_EQ(rpc.wait(seq).send_ts_ns, 42u);
   service.join();
 }
 
 TEST(RpcClient, PoisonWakesBlockedWaiterWithVictim) {
-  RpcClient rpc;
+  std::mutex mu;
+  RpcClient rpc(mu);
+  std::unique_lock<std::mutex> held(mu);
   const std::uint64_t seq = rpc.begin();
-  std::thread service([&] { rpc.poison(5); });
+  std::thread service([&] { locked(mu, [&] { rpc.poison(5); }); });
   try {
     rpc.wait(seq);
     FAIL() << "poisoned wait returned";
@@ -61,7 +77,9 @@ TEST(RpcClient, PoisonWakesBlockedWaiterWithVictim) {
 }
 
 TEST(RpcClient, PoisonBeforeWaitAndBeforeBegin) {
-  RpcClient rpc;
+  std::mutex mu;
+  RpcClient rpc(mu);
+  std::unique_lock<std::mutex> held(mu);
   const std::uint64_t seq = rpc.begin();
   rpc.poison(2);
   // The pending request fails...
@@ -74,7 +92,9 @@ TEST(RpcClient, FulfilledReplySurvivesPoison) {
   // A reply that already landed is valid data; delivering it (instead of
   // discarding and throwing) keeps the survivor's state closer to the
   // crash-free schedule during the unwind.
-  RpcClient rpc;
+  std::mutex mu;
+  RpcClient rpc(mu);
+  std::unique_lock<std::mutex> held(mu);
   const std::uint64_t seq = rpc.begin();
   rpc.fulfill(seq, msg(9, 77));
   rpc.poison(1);
@@ -82,7 +102,9 @@ TEST(RpcClient, FulfilledReplySurvivesPoison) {
 }
 
 TEST(WaitSlot, DeliversInFifoOrder) {
-  WaitSlot slot;
+  std::mutex mu;
+  WaitSlot slot(mu);
+  std::unique_lock<std::mutex> held(mu);
   slot.post(msg(1, 10));
   slot.post(msg(1, 20));
   slot.post(msg(1, 30));
@@ -92,15 +114,19 @@ TEST(WaitSlot, DeliversInFifoOrder) {
 }
 
 TEST(WaitSlot, TakeBlocksUntilPosted) {
-  WaitSlot slot;
-  std::thread service([&] { slot.post(msg(2, 55)); });
+  std::mutex mu;
+  WaitSlot slot(mu);
+  std::unique_lock<std::mutex> held(mu);
+  std::thread service([&] { locked(mu, [&] { slot.post(msg(2, 55)); }); });
   EXPECT_EQ(slot.take().send_ts_ns, 55u);
   service.join();
 }
 
 TEST(WaitSlot, PoisonWakesBlockedTaker) {
-  WaitSlot slot;
-  std::thread service([&] { slot.poison(3); });
+  std::mutex mu;
+  WaitSlot slot(mu);
+  std::unique_lock<std::mutex> held(mu);
+  std::thread service([&] { locked(mu, [&] { slot.poison(3); }); });
   try {
     slot.take();
     FAIL() << "poisoned take returned";
@@ -111,7 +137,9 @@ TEST(WaitSlot, PoisonWakesBlockedTaker) {
 }
 
 TEST(WaitSlot, QueuedMessagesDrainBeforePoisonThrows) {
-  WaitSlot slot;
+  std::mutex mu;
+  WaitSlot slot(mu);
+  std::unique_lock<std::mutex> held(mu);
   slot.post(msg(4, 1));
   slot.post(msg(4, 2));
   slot.poison(0);
@@ -121,16 +149,21 @@ TEST(WaitSlot, QueuedMessagesDrainBeforePoisonThrows) {
 }
 
 TEST(RpcClient, ManyThreadsEachGetTheirOwnReply) {
-  RpcClient rpc;
+  std::mutex mu;
+  RpcClient rpc(mu);
   constexpr int kN = 16;
   std::vector<std::uint64_t> seqs(kN);
-  for (int i = 0; i < kN; ++i) seqs[i] = rpc.begin();
+  locked(mu, [&] {
+    for (int i = 0; i < kN; ++i) seqs[i] = rpc.begin();
+  });
   std::vector<std::thread> waiters;
   std::vector<std::uint64_t> got(kN, 0);
   for (int i = 0; i < kN; ++i)
-    waiters.emplace_back([&, i] { got[i] = rpc.wait(seqs[i]).send_ts_ns; });
+    waiters.emplace_back(
+        [&, i] { locked(mu, [&] { got[i] = rpc.wait(seqs[i]).send_ts_ns; }); });
   // Reverse order: every waiter must match on seq, not arrival order.
-  for (int i = kN - 1; i >= 0; --i) rpc.fulfill(seqs[i], msg(6, 1000 + i));
+  for (int i = kN - 1; i >= 0; --i)
+    locked(mu, [&] { rpc.fulfill(seqs[i], msg(6, 1000 + i)); });
   for (auto& t : waiters) t.join();
   for (int i = 0; i < kN; ++i) EXPECT_EQ(got[i], 1000u + i);
 }

@@ -36,10 +36,11 @@ TEST(Locks, MutualExclusionCounter) {
 // Regression stress for the grant cut-to-enqueue ordering race: with
 // several disjoint locks churning on the same edges, one node's compute
 // thread (a pending grant at release) and service thread (a forward
-// hitting the ownership cache) can both assemble node-log deltas for the
-// same requester at once.  If the later-cut delta reaches the wire first,
-// the requester's dense interval merge aborts on a sequence gap — the
-// failure is a NOW_CHECK abort, so this passes by simply surviving.
+// hitting the ownership cache) both assemble node-log deltas for the same
+// requester.  If a later-cut delta reached the wire first, the requester's
+// dense interval merge would abort on a sequence gap (the protocol lock,
+// held from cut to enqueue, rules it out) — the failure is a NOW_CHECK
+// abort, so this passes by simply surviving.
 // Scheduling-dependent: many short critical sections maximize the window.
 TEST(Locks, DisjointLockChurnKeepsIntervalRecordsDense) {
   constexpr std::uint32_t kNodes = 4;
@@ -370,6 +371,83 @@ TEST(Stress, MixedPrimitivesUnderServiceJitter) {
     tmk.barrier();
     EXPECT_EQ(*counter, 40u);
   });
+}
+
+// The wait rule: a compute thread holds its node's protocol lock for a whole
+// runtime entry and gives it up only where it blocks (RpcClient::wait,
+// WaitSlot::take), so its own service thread can answer peers meanwhile —
+// including the replies it is waiting for.  These shapes hang if a blocked
+// compute thread kept the lock; service jitter shuffles the orders.
+
+// Nodes 0 and 1 each write their own page, hand the write over with a
+// semaphore, and read the other's page at the same moment: each compute
+// thread blocks in its fault's fetch while its service thread must serve
+// the peer's kDiffRequest.
+TEST(ProtoLock, CrossingFaultsServeEachOther) {
+  constexpr std::uint64_t kRounds = 300;
+  DsmRuntime rt(cfg(2, /*stress=*/true));
+  rt.run_spmd([&](Tmk& tmk) {
+    const std::uint32_t me = tmk.id();
+    const std::uint32_t peer = 1 - me;
+    gptr<std::uint64_t> mine((1 + me) * kPageSize);
+    gptr<std::uint64_t> theirs((1 + peer) * kPageSize);
+    std::uint64_t wrong = 0;
+    for (std::uint64_t r = 1; r <= kRounds; ++r) {
+      *mine = 10 * r + me;
+      tmk.sema_signal(peer);  // semas 0/1: "my page is written"
+      tmk.sema_wait(me);
+      wrong += *theirs != 10 * r + peer;
+      tmk.sema_signal(2 + peer);  // semas 2/3: "I read yours"
+      tmk.sema_wait(2 + me);
+    }
+    EXPECT_EQ(wrong, 0u) << "node " << me;
+  });
+}
+
+// A lock holder faults inside its critical section while a third node's
+// kLockAcquire is forwarded to it: node 1 lets node 2 ask for the lock
+// just before the read fault whose fetch it then blocks in, so the
+// forward lands on node 1's service thread during the fetch.
+TEST(ProtoLock, HolderFaultingInItsSectionTakesAForward) {
+  constexpr std::uint64_t kRounds = 200;
+  constexpr std::uint32_t kLock = 0, kGo1 = 1, kGo2 = 2;
+  DsmRuntime rt(cfg(3, /*stress=*/true));
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> counter(kPageSize);
+    std::uint64_t wrong = 0;
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      if (tmk.id() == 1) tmk.sema_wait(kGo1);
+      if (tmk.id() == 2) tmk.sema_wait(kGo2);
+      tmk.lock_acquire(kLock);
+      if (tmk.id() == 1) tmk.sema_signal(kGo2);
+      *counter = *counter + 1;
+      tmk.lock_release(kLock);
+      if (tmk.id() == 0) tmk.sema_signal(kGo1);
+      tmk.barrier();
+      wrong += *counter != 3 * (r + 1);
+    }
+    EXPECT_EQ(wrong, 0u) << "node " << tmk.id();
+  });
+}
+
+void noop_region(Tmk&, const void*, std::size_t) {}
+
+// A fault raised by runtime code that holds the protocol lock must fail
+// loudly, not deadlock: the fork copies its argument blob under the lock,
+// and a blob pointing at a shared page the master never mapped faults
+// right there.
+TEST(ProtoLockDeathTest, FaultUnderTheLockFailsLoudly) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        DsmRuntime rt(cfg(2));
+        rt.run_master([](Tmk& tmk) {
+          gptr<std::uint64_t> shared(kPageSize);
+          tmk.fork(&noop_region, shared.get(), sizeof(std::uint64_t));
+          tmk.join();
+        });
+      },
+      "protocol lock taken twice");
 }
 
 }  // namespace
