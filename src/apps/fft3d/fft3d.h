@@ -23,6 +23,14 @@
 
 namespace now::apps::fft3d {
 
+// Compute is charged per butterfly of the 1D FFTs; the evolve and transpose
+// passes are priced into the butterfly (they run in the same proportion in
+// every version).  Host nanoseconds per butterfly: the sequential kernel at
+// the Figure 5 workload (64x64x32, 2 iterations), host time over
+// butterflies, median of five idle runs of `bench_fig5_speedup --calibrate`
+// on a 4-vCPU Intel Xeon VM (gcc -O2).
+inline constexpr double kHostNsPerButterfly = 9.83;
+
 struct Params {
   std::size_t nx = 32, ny = 32, nz = 32;  // powers of two
   std::uint32_t iters = 3;

@@ -27,8 +27,9 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
 
     const Params params = p;
     // Forward: parallel do over z-planes.
-    team.parallel_for(0, static_cast<std::int64_t>(nz), [=](omp::Par&, std::int64_t z) {
-      fft_plane(as_complex(ga) + static_cast<std::size_t>(z) * nx * ny, nx, ny, false);
+    team.parallel_for(0, static_cast<std::int64_t>(nz), [=](omp::Par& par, std::int64_t z) {
+      par.compute(fft_plane(as_complex(ga) + static_cast<std::size_t>(z) * nx * ny, nx, ny, false),
+                  kHostNsPerButterfly);
     });
     // Global transpose: parallel do over destination x-planes.
     team.parallel_for(0, static_cast<std::int64_t>(nx), [=](omp::Par&, std::int64_t xi) {
@@ -39,15 +40,16 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
         for (std::size_t z = 0; z < nz; ++z)
           ubar[z + nz * (y + ny * x)] = a[x + nx * (y + ny * z)];
     });
-    team.parallel_for(0, static_cast<std::int64_t>(nx), [=](omp::Par&, std::int64_t xi) {
+    team.parallel_for(0, static_cast<std::int64_t>(nx), [=](omp::Par& par, std::int64_t xi) {
       const auto x = static_cast<std::size_t>(xi);
       for (std::size_t y = 0; y < ny; ++y)
-        fft_1d(as_complex(gubar) + (x * ny + y) * nz, nz, 1, false);
+        par.compute(fft_1d(as_complex(gubar) + (x * ny + y) * nz, nz, 1, false),
+                    kHostNsPerButterfly);
     });
 
     double cre = 0, cim = 0;
     for (std::uint32_t t = 1; t <= p.iters; ++t) {
-      team.parallel_for(0, static_cast<std::int64_t>(nx), [=](omp::Par&, std::int64_t xi) {
+      team.parallel_for(0, static_cast<std::int64_t>(nx), [=](omp::Par& par, std::int64_t xi) {
         const auto x = static_cast<std::size_t>(xi);
         Complex* ubar = as_complex(gubar);
         Complex* w = as_complex(gw);
@@ -56,16 +58,16 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
             w[z + nz * (y + ny * x)] =
                 ubar[z + nz * (y + ny * x)] * evolve_factor(params, t, x, y, z);
         for (std::size_t y = 0; y < ny; ++y)
-          fft_1d(w + (x * ny + y) * nz, nz, 1, true);
+          par.compute(fft_1d(w + (x * ny + y) * nz, nz, 1, true), kHostNsPerButterfly);
       });
-      team.parallel_for(0, static_cast<std::int64_t>(nz), [=](omp::Par&, std::int64_t zi) {
+      team.parallel_for(0, static_cast<std::int64_t>(nz), [=](omp::Par& par, std::int64_t zi) {
         const auto z = static_cast<std::size_t>(zi);
         Complex* w = as_complex(gw);
         Complex* v = as_complex(gv);
         for (std::size_t y = 0; y < ny; ++y)
           for (std::size_t x = 0; x < nx; ++x)
             v[x + nx * (y + ny * z)] = w[z + nz * (y + ny * x)];
-        fft_plane(v + z * nx * ny, nx, ny, true);
+        par.compute(fft_plane(v + z * nx * ny, nx, ny, true), kHostNsPerButterfly);
       });
       fold_checksum(as_complex(gv), total, cre, cim);  // sequential part
     }

@@ -52,7 +52,7 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
 
     // Forward: plane FFTs over owned z-planes.
     for (std::size_t z = zb; z < ze; ++z)
-      fft_plane(a + z * nx * ny, nx, ny, false);
+      tmk.compute(fft_plane(a + z * nx * ny, nx, ny, false), kHostNsPerButterfly);
     tmk.barrier();
     // Global transpose into z-fastest layout, by destination x-plane.
     for (std::size_t x = xb; x < xe; ++x)
@@ -62,7 +62,7 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
     tmk.barrier();
     for (std::size_t x = xb; x < xe; ++x)
       for (std::size_t y = 0; y < ny; ++y)
-        fft_1d(ubar + (x * ny + y) * nz, nz, 1, false);
+        tmk.compute(fft_1d(ubar + (x * ny + y) * nz, nz, 1, false), kHostNsPerButterfly);
     tmk.barrier();
 
     for (std::uint32_t t = 1; t <= p.iters; ++t) {
@@ -73,14 +73,14 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
                 ubar[z + nz * (y + ny * x)] * evolve_factor(p, t, x, y, z);
       for (std::size_t x = xb; x < xe; ++x)
         for (std::size_t y = 0; y < ny; ++y)
-          fft_1d(w + (x * ny + y) * nz, nz, 1, true);
+          tmk.compute(fft_1d(w + (x * ny + y) * nz, nz, 1, true), kHostNsPerButterfly);
       tmk.barrier();
       for (std::size_t z = zb; z < ze; ++z)
         for (std::size_t y = 0; y < ny; ++y)
           for (std::size_t x = 0; x < nx; ++x)
             v[x + nx * (y + ny * z)] = w[z + nz * (y + ny * x)];
       for (std::size_t z = zb; z < ze; ++z)
-        fft_plane(v + z * nx * ny, nx, ny, true);
+        tmk.compute(fft_plane(v + z * nx * ny, nx, ny, true), kHostNsPerButterfly);
       tmk.barrier();
       if (tmk.id() == 0) {
         double cre = sums[0], cim = sums[1];

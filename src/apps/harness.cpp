@@ -1,23 +1,17 @@
 #include "apps/harness.h"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
-#include <thread>
-
-#include "simnet/clock.h"
 
 namespace now::apps {
 
-AppResult run_sequential(const sim::TimeModel& time,
-                         const std::function<double()>& workload) {
+AppResult run_sequential(const sim::TimeModel& time, double host_ns_per_unit,
+                         const std::function<double(std::uint64_t& units)>& workload) {
   AppResult result;
-  std::thread t([&] {
-    sim::CpuMeter meter;
-    result.checksum = workload();
-    result.virtual_time_us =
-        static_cast<double>(time.scale_ns(meter.take_delta_ns())) / 1000.0;
-  });
-  t.join();
+  std::uint64_t units = 0;
+  result.checksum = workload(units);
+  result.virtual_time_us =
+      static_cast<double>(time.compute_ns(units, host_ns_per_unit)) / 1000.0;
   return result;
 }
 

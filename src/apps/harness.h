@@ -20,11 +20,12 @@ struct AppResult {
   tmk::DsmStatsSnapshot dsm;          // zero for sequential and MPI runs
 };
 
-// Runs a sequential workload on a dedicated thread, converting its measured
-// execution time into virtual microseconds with the same TimeModel the
-// parallel runtimes use — the denominator of every speedup in Figure 5.
-AppResult run_sequential(const sim::TimeModel& time,
-                         const std::function<double()>& workload);
+// Runs a sequential workload, which returns its checksum and adds the work
+// units it performed to `units`, and charges those units with the same
+// TimeModel and per-unit price the parallel versions use — the denominator
+// of every speedup in Figure 5.
+AppResult run_sequential(const sim::TimeModel& time, double host_ns_per_unit,
+                         const std::function<double(std::uint64_t& units)>& workload);
 
 // Relative checksum comparison for floating-point workloads (parallel
 // summation reassociates).

@@ -33,8 +33,17 @@ std::vector<std::uint32_t> make_input(const Params& p);
 // Order-sensitive fingerprint: sum of value * (index+1), wrapping.
 std::uint64_t checksum(const std::uint32_t* a, std::size_t n);
 
-// Sequential quicksort-with-bubble-leaves (also the per-task kernel).
-void bubble_sort(std::uint32_t* a, std::size_t n);
+// Compute is charged per element compared: a partition of n elements
+// charges n, a bubble sort the comparisons its passes make (the leaves do
+// most of the work, so they have to be counted).  Host nanoseconds per
+// element: the sequential kernel at the Figure 5 workload (2^18 integers,
+// leaves of 1024), host time over elements, median of five idle runs of
+// `bench_fig5_speedup --calibrate` on a 4-vCPU Intel Xeon VM (gcc -O2).
+inline constexpr double kHostNsPerElement = 4.05;
+
+// Sequential quicksort-with-bubble-leaves (also the per-task kernel);
+// returns the comparisons made.
+std::uint64_t bubble_sort(std::uint32_t* a, std::size_t n);
 // Places a pivot in final position m: a[0..m) < a[m] <= a[m+1..n).
 std::size_t partition(std::uint32_t* a, std::size_t n);
 

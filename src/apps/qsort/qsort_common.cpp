@@ -20,8 +20,10 @@ std::uint64_t checksum(const std::uint32_t* a, std::size_t n) {
   return sum;
 }
 
-void bubble_sort(std::uint32_t* a, std::size_t n) {
+std::uint64_t bubble_sort(std::uint32_t* a, std::size_t n) {
+  std::uint64_t compares = 0;
   for (std::size_t end = n; end > 1; --end) {
+    compares += end - 1;
     bool swapped = false;
     for (std::size_t i = 1; i < end; ++i) {
       if (a[i] < a[i - 1]) {
@@ -31,6 +33,7 @@ void bubble_sort(std::uint32_t* a, std::size_t n) {
     }
     if (!swapped) break;
   }
+  return compares;
 }
 
 std::size_t partition(std::uint32_t* a, std::size_t n) {

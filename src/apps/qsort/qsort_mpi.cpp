@@ -19,14 +19,17 @@ constexpr int kTagXchgCount = 103;
 constexpr int kTagXchgData = 104;
 constexpr int kTagCount = 105;
 
-void local_sort(std::vector<std::uint32_t>& v, std::size_t threshold) {
-  if (v.size() < 2) return;
+// Returns the elements compared (qsort.h's unit).
+std::uint64_t local_sort(std::vector<std::uint32_t>& v, std::size_t threshold) {
+  std::uint64_t elements = 0;
+  if (v.size() < 2) return elements;
   std::vector<std::pair<std::size_t, std::size_t>> stack{{0, v.size()}};
   while (!stack.empty()) {
     auto [lo, hi] = stack.back();
     stack.pop_back();
     while (hi - lo > threshold) {
       const std::size_t m = lo + partition(v.data() + lo, hi - lo);
+      elements += hi - lo;
       if (m - lo < hi - (m + 1)) {
         stack.emplace_back(m + 1, hi);
         hi = m;
@@ -35,8 +38,9 @@ void local_sort(std::vector<std::uint32_t>& v, std::size_t threshold) {
         lo = m + 1;
       }
     }
-    if (hi - lo > 1) bubble_sort(v.data() + lo, hi - lo);
+    if (hi - lo > 1) elements += bubble_sort(v.data() + lo, hi - lo);
   }
+  return elements;
 }
 
 }  // namespace
@@ -88,6 +92,7 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
           std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(tmp.size() / 2), tmp.end());
           pivot = tmp[tmp.size() / 2];
         }
+        c.compute(tmp.size(), kHostNsPerElement);  // selection: one partition pass
         for (int m = group; m < group + 2 * step; ++m)
           if (m != r) c.send(&pivot, sizeof pivot, m, kTagPivot);
       } else {
@@ -98,6 +103,7 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
       std::vector<std::uint32_t> low, high;
       for (std::uint32_t v : local)
         (v < pivot ? low : high).push_back(v);
+      c.compute(local.size(), kHostNsPerElement);
 
       const int partner = r ^ step;
       std::vector<std::uint32_t>& keep = (r < partner) ? low : high;
@@ -114,7 +120,7 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
       local = std::move(keep);
     }
 
-    local_sort(local, p.bubble_threshold);
+    c.compute(local_sort(local, p.bubble_threshold), kHostNsPerElement);
 
     // Distributed order-sensitive checksum: ranks hold ascending buckets;
     // compute global offsets, then reduce the weighted partial sums.

@@ -100,6 +100,7 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
         while (hi - lo > threshold) {
           const std::size_t m = static_cast<std::size_t>(lo) +
                                 partition(a.get() + lo, static_cast<std::size_t>(hi - lo));
+          par.compute(hi - lo, kHostNsPerElement);
           if (m - lo < hi - (m + 1)) {
             omp_enqueue(par, q, m + 1, hi);
             hi = m;
@@ -108,7 +109,9 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
             lo = m + 1;
           }
         }
-        if (hi - lo > 1) bubble_sort(a.get() + lo, static_cast<std::size_t>(hi - lo));
+        if (hi - lo > 1)
+          par.compute(bubble_sort(a.get() + lo, static_cast<std::size_t>(hi - lo)),
+                      kHostNsPerElement);
       }
     });
 

@@ -77,6 +77,7 @@ void worker(tmk::Tmk& tmk, tmk::gptr<std::uint32_t> a, const Queue& q,
     while (hi - lo > threshold) {
       const std::size_t m =
           static_cast<std::size_t>(lo) + partition(a.get() + lo, static_cast<std::size_t>(hi - lo));
+      tmk.compute(hi - lo, kHostNsPerElement);
       if (m - lo < hi - (m + 1)) {
         enqueue(tmk, q, m + 1, hi);
         hi = m;
@@ -85,7 +86,9 @@ void worker(tmk::Tmk& tmk, tmk::gptr<std::uint32_t> a, const Queue& q,
         lo = m + 1;
       }
     }
-    if (hi - lo > 1) bubble_sort(a.get() + lo, static_cast<std::size_t>(hi - lo));
+    if (hi - lo > 1)
+      tmk.compute(bubble_sort(a.get() + lo, static_cast<std::size_t>(hi - lo)),
+                  kHostNsPerElement);
   }
 }
 

@@ -28,6 +28,12 @@ struct Params {
   std::uint32_t sweeps = 1;  // full 8-octant passes
 };
 
+// Compute is charged per cell swept (one sweep_value update).  Host
+// nanoseconds per cell: the sequential kernel at the Figure 5 workload
+// (48^3 cells, 8 octants), host time over cells, median of five idle runs
+// of `bench_fig5_speedup --calibrate` on a 4-vCPU Intel Xeon VM (gcc -O2).
+inline constexpr double kHostNsPerCell = 10.25;
+
 inline constexpr double kMu = 0.30, kEta = 0.25, kXi = 0.20;
 inline constexpr double kDenom = 1.0 + kMu + kEta + kXi;
 

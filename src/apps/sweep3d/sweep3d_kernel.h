@@ -10,8 +10,8 @@ namespace now::apps::sweep3d {
 // Sweeps cells i in [0,nx), j in [jb,je), k in [kb,ke) for one octant,
 // reading upwind values from the (already computed) neighbours in the full
 // grid `phi` with index i + nx*(j + ny*k).  Upwind cells outside the grid
-// contribute the vacuum boundary value 0.
-inline void sweep_block(double* phi, const Params& p, Octant o, std::size_t jb,
+// contribute the vacuum boundary value 0.  Returns the cells swept.
+inline std::uint64_t sweep_block(double* phi, const Params& p, Octant o, std::size_t jb,
                         std::size_t je, std::size_t kb, std::size_t ke) {
   const auto nx = static_cast<std::ptrdiff_t>(p.nx);
   const auto ny = static_cast<std::ptrdiff_t>(p.ny);
@@ -47,6 +47,7 @@ inline void sweep_block(double* phi, const Params& p, Octant o, std::size_t jb,
       }
     }
   }
+  return static_cast<std::uint64_t>(kn * jn * nx);
 }
 
 }  // namespace now::apps::sweep3d

@@ -80,6 +80,7 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
               }
             }
           }
+          c.compute(kn * jloc * nx, kHostNsPerCell);
 
           if (has_down) {
             for (std::size_t kk = 0; kk < kn; ++kk)

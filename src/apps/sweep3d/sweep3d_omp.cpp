@@ -41,8 +41,9 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
             const std::size_t kb_dir = o.sz > 0 ? kb : params.nz - ke;
             const std::size_t ke_dir = o.sz > 0 ? ke : params.nz - kb;
             if (has_up) par.sema_wait(wait_id);
-            sweep_block(phi.get(), params, o, static_cast<std::size_t>(jb),
-                        static_cast<std::size_t>(je), kb_dir, ke_dir);
+            par.compute(sweep_block(phi.get(), params, o, static_cast<std::size_t>(jb),
+                                    static_cast<std::size_t>(je), kb_dir, ke_dir),
+                        kHostNsPerCell);
             if (has_down) par.sema_signal(signal_id);
           }
         });

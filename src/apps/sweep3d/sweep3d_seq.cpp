@@ -6,11 +6,11 @@
 namespace now::apps::sweep3d {
 
 AppResult run_seq(const Params& p, const sim::TimeModel& time) {
-  return run_sequential(time, [&]() -> double {
+  return run_sequential(time, kHostNsPerCell, [&](std::uint64_t& cells) -> double {
     std::vector<double> phi(p.nx * p.ny * p.nz, 0.0);
     for (std::uint32_t s = 0; s < p.sweeps; ++s)
       for (const Octant& o : kOctants)
-        sweep_block(phi.data(), p, o, 0, p.ny, 0, p.nz);
+        cells += sweep_block(phi.data(), p, o, 0, p.ny, 0, p.nz);
     return checksum(phi.data(), phi.size());
   });
 }

@@ -52,7 +52,8 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
           const std::size_t kb_dir = o.sz > 0 ? kb : p.nz - ke;
           const std::size_t ke_dir = o.sz > 0 ? ke : p.nz - kb;
           if (has_up) tmk.sema_wait(wait_id);
-          sweep_block(phi.get(), p, o, jb, je, kb_dir, ke_dir);
+          tmk.compute(sweep_block(phi.get(), p, o, jb, je, kb_dir, ke_dir),
+                      kHostNsPerCell);
           if (has_down) tmk.sema_signal(signal_id);
         }
         tmk.barrier();  // octants are separated by a full synchronization

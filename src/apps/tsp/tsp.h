@@ -25,6 +25,13 @@ namespace now::apps::tsp {
 
 inline constexpr std::size_t kMaxCities = 16;
 
+// Compute is charged per tour node expanded: one per queued tour extended
+// by a city, one per node of an exhaustive leaf search.  Host nanoseconds
+// per node: the sequential kernel at the Figure 5 workload (12 cities, leaf
+// depth 7), host time over nodes, median of five idle runs of
+// `bench_fig5_speedup --calibrate` on a 4-vCPU Intel Xeon VM (gcc -O2).
+inline constexpr double kHostNsPerNode = 21.8;
+
 struct Params {
   std::uint32_t ncities = 12;
   std::uint32_t exhaustive_depth = 7;  // remaining cities solved by DFS leaf
@@ -45,10 +52,11 @@ struct Tour {
 };
 
 // DFS over the remaining cities with bound pruning; returns the best
-// complete-tour length reachable from `t` (>= bound if none better).
+// complete-tour length reachable from `t` (>= bound if none better) and
+// adds the search nodes it expanded to `nodes`.
 std::uint64_t exhaustive_best(const std::vector<std::uint64_t>& dist,
                               std::uint32_t ncities, const Tour& t,
-                              std::uint64_t bound);
+                              std::uint64_t bound, std::uint64_t& nodes);
 
 AppResult run_seq(const Params& p, const sim::TimeModel& time);
 AppResult run_tmk(const Params& p, tmk::DsmConfig cfg);

@@ -41,6 +41,7 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
           pq.pop();
           if (t.length >= best) continue;
           if (p.ncities - t.depth <= p.exhaustive_depth) return t;
+          c.compute(1, kHostNsPerNode);
           for (std::uint32_t city = 1; city < p.ncities; ++city) {
             if (t.visited_mask & (std::uint64_t{1} << city)) continue;
             Tour next = t;
@@ -58,8 +59,10 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
 
       if (live == 0) {
         // Single-rank degenerate case: solve everything locally.
+        std::uint64_t nodes = 0;
         for (auto leaf = next_leaf(); leaf; leaf = next_leaf())
-          best = exhaustive_best(dist, p.ncities, *leaf, best);
+          best = exhaustive_best(dist, p.ncities, *leaf, best, nodes);
+        c.compute(nodes, kHostNsPerNode);
       }
       while (live > 0) {
         std::uint64_t found = 0;
@@ -93,7 +96,9 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
         if (kind == 1) break;
         TaskMsg msg{};
         c.recv(&msg, sizeof msg, 0, kTagTask);
-        found = exhaustive_best(dist, p.ncities, msg.tour, msg.bound);
+        std::uint64_t nodes = 0;
+        found = exhaustive_best(dist, p.ncities, msg.tour, msg.bound, nodes);
+        c.compute(nodes, kHostNsPerNode);
       }
     }
   });

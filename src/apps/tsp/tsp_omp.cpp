@@ -14,13 +14,7 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
   rt.run([&](omp::Team& team) {
     const std::uint64_t cap = p.pool_capacity;
     auto mem = team.shared_array<std::uint64_t>(TspState::words_needed(cap));
-    {
-      TspState st{mem, cap};
-      st.init_master();
-      const std::uint64_t slot = st.free_pop();
-      st.write_tour(slot, Tour{});
-      st.heap_push(0, slot);
-    }
+    TspState{mem, cap}.init_master();
 
     const Params params = p;
     // The distance matrix is read-only; ship it through shared memory so
@@ -35,7 +29,8 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
       for (std::size_t i = 0; i < dist_n; ++i) local_dist[i] = dist_sh[i];
       TspState st{mem, cap};
       auto locked = [&](const auto& body) { par.critical(body); };
-      while (tsp_step(local_dist, params, st, locked)) {
+      auto compute = [&](std::uint64_t nodes) { par.compute(nodes, kHostNsPerNode); };
+      while (tsp_step(local_dist, params, st, locked, compute)) {
       }
     });
 

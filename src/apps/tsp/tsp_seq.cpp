@@ -1,38 +1,23 @@
 #include "apps/tsp/tsp.h"
-
-#include <queue>
+#include "apps/tsp/tsp_state.h"
 
 namespace now::apps::tsp {
 
 AppResult run_seq(const Params& p, const sim::TimeModel& time) {
   auto dist = make_distances(p);
-  return run_sequential(time, [&]() -> double {
-    using Entry = std::pair<std::uint64_t, Tour>;  // (priority, tour)
-    auto cmp = [](const Entry& a, const Entry& b) { return a.first > b.first; };
-    std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> pq(cmp);
-    pq.push({0, Tour{}});
-    std::uint64_t best = ~std::uint64_t{0};
-    while (!pq.empty()) {
-      const Tour t = pq.top().second;
-      pq.pop();
-      if (t.length >= best) continue;
-      if (p.ncities - t.depth <= p.exhaustive_depth) {
-        best = exhaustive_best(dist, p.ncities, t, best);
-        continue;
-      }
-      for (std::uint32_t c = 1; c < p.ncities; ++c) {
-        if (t.visited_mask & (std::uint64_t{1} << c)) continue;
-        Tour next = t;
-        next.length += dist[t.last * p.ncities + c];
-        if (next.length >= best) continue;
-        next.visited_mask |= std::uint64_t{1} << c;
-        next.path[next.depth] = static_cast<std::uint8_t>(c);
-        next.depth += 1;
-        next.last = c;
-        pq.push({next.length, next});
-      }
+  return run_sequential(time, kHostNsPerNode, [&](std::uint64_t& nodes) -> double {
+    // The parallel versions' search over host memory with no locks: the
+    // same queue order and pruning, so a one-node run expands the same
+    // tour nodes.
+    using State = BasicTspState<std::uint64_t*>;
+    std::vector<std::uint64_t> mem(State::words_needed(p.pool_capacity));
+    const State st{mem.data(), p.pool_capacity};
+    st.init_master();
+    auto locked = [](const auto& body) { body(); };
+    auto compute = [&](std::uint64_t n) { nodes += n; };
+    while (tsp_step(dist, p, st, locked, compute)) {
     }
-    return static_cast<double>(best);
+    return static_cast<double>(st.best());
   });
 }
 

@@ -1,6 +1,8 @@
 // Shared-memory TSP state: the paper's pool + priority queue + free stack +
 // current best, laid out in DSM memory as plain u64 words.  All mutation
-// happens inside the caller's critical section.
+// happens inside the caller's critical section.  `Words` is the word store:
+// a DSM pointer for the parallel versions, host memory for the sequential
+// one, which runs the same search in the same order.
 #pragma once
 
 #include "apps/tsp/tsp.h"
@@ -13,8 +15,9 @@ inline constexpr std::size_t kTourWords = 6;  // length, mask, depth, last, path
 
 // Layout: [best, nworking, heap_size, free_top, cap,
 //          heap (2*cap), free stack (cap), pool (cap*kTourWords)]
-struct TspState {
-  tmk::gptr<std::uint64_t> m;
+template <typename Words>
+struct BasicTspState {
+  Words m;
   std::uint64_t cap = 0;
 
   static std::size_t words_needed(std::uint64_t cap) {
@@ -32,6 +35,7 @@ struct TspState {
     return 5 + 3 * cap + slot * kTourWords;
   }
 
+  // Empties the pool and queues the root tour (city 0 alone).
   void init_master() const {
     m[0] = ~std::uint64_t{0};
     m[1] = 0;
@@ -40,6 +44,9 @@ struct TspState {
     m[4] = cap;
     for (std::uint64_t s = 0; s < cap; ++s) m[free_off(s)] = cap - 1 - s;
     free_top() = cap;
+    const std::uint64_t slot = free_pop();
+    write_tour(slot, Tour{});
+    heap_push(0, slot);
   }
 
   std::uint64_t free_pop() const {
@@ -122,12 +129,15 @@ struct TspState {
   }
 };
 
+using TspState = BasicTspState<tmk::gptr<std::uint64_t>>;
+
 // One branch-and-bound step against shared state; `locked` must wrap its
-// argument in the version's critical section.  Returns false when the
-// computation is globally complete.
-template <typename LockedFn>
+// argument in the version's critical section, and `compute` charges the
+// step's tour nodes (kHostNsPerNode) before the section that ends it.
+// Returns false when the computation is globally complete.
+template <typename State, typename LockedFn, typename ComputeFn>
 bool tsp_step(const std::vector<std::uint64_t>& dist, const Params& p,
-              const TspState& st, const LockedFn& locked) {
+              const State& st, const LockedFn& locked, const ComputeFn& compute) {
   Tour t;
   bool have_task = false;
   bool done = false;
@@ -149,7 +159,9 @@ bool tsp_step(const std::vector<std::uint64_t>& dist, const Params& p,
   if (p.ncities - t.depth <= p.exhaustive_depth) {
     std::uint64_t bound = ~std::uint64_t{0};
     locked([&] { bound = st.best(); });
-    const std::uint64_t found = exhaustive_best(dist, p.ncities, t, bound);
+    std::uint64_t nodes = 0;
+    const std::uint64_t found = exhaustive_best(dist, p.ncities, t, bound, nodes);
+    compute(nodes);
     locked([&] {
       if (found < st.best()) st.best() = found;
       st.nworking() = st.nworking() - 1;
@@ -170,6 +182,7 @@ bool tsp_step(const std::vector<std::uint64_t>& dist, const Params& p,
     next.last = c;
     children.push_back(next);
   }
+  compute(1);
   locked([&] {
     for (const Tour& child : children) {
       if (child.length >= st.best()) continue;  // prune under the lock

@@ -20,9 +20,6 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
       auto mem = tmk.alloc_array<std::uint64_t>(TspState::words_needed(cap));
       TspState st{mem, cap};
       st.init_master();
-      const std::uint64_t slot = st.free_pop();
-      st.write_tour(slot, Tour{});
-      st.heap_push(0, slot);
       tmk.set_root(0, mem.cast<void>());
       tmk.set_root(1, tmk::gptr<void>(cap));  // capacity via root slot
     }
@@ -35,7 +32,8 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
       body();
       tmk.lock_release(kLock);
     };
-    while (tsp_step(dist, p, st, locked)) {
+    auto compute = [&](std::uint64_t nodes) { tmk.compute(nodes, kHostNsPerNode); };
+    while (tsp_step(dist, p, st, locked, compute)) {
     }
     tmk.barrier();
     if (tmk.id() == 0) result.checksum = static_cast<double>(st.best());

@@ -28,6 +28,13 @@ namespace now::apps::water {
 
 inline constexpr std::size_t kDof = 9;  // 3 atoms x 3 coordinates
 
+// Compute is charged per molecule pair of the inter-molecular phase; the
+// O(n) intra-molecular and integration phases are priced into the pair.
+// Host nanoseconds per pair: the sequential kernel at the Figure 5 workload
+// (512 molecules, 3 steps), host time over pairs, median of five idle runs
+// of `bench_fig5_speedup --calibrate` on a 4-vCPU Intel Xeon VM (gcc -O2).
+inline constexpr double kHostNsPerPair = 14.0;
+
 struct Params {
   std::size_t nmol = 216;  // SPLASH-2's classic molecule count
   std::uint32_t steps = 4;

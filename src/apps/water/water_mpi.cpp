@@ -35,9 +35,11 @@ AppResult run_mpi(const Params& p, mpi::MpiConfig cfg) {
       std::fill(local.begin(), local.end(), 0.0);
       for (std::size_t m = mb; m < me; ++m)
         local[dof] += intra_force(pos.data(), local.data(), m);
-      for (std::size_t a = mb; a < me; ++a)
+      for (std::size_t a = mb; a < me; ++a) {
         for (std::size_t b = a + 1; b < p.nmol; ++b)
           local[dof] += pair_force(pos.data(), local.data(), a, b);
+        c.compute(p.nmol - a - 1, kHostNsPerPair);
+      }
 
       c.allreduce(local.data(), global.data(), dof + 1, mpi::Op::kSum);
       energy = global[dof];

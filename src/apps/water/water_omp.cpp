@@ -47,9 +47,11 @@ AppResult run_omp(const Params& p, tmk::DsmConfig cfg) {
         std::vector<double> local(dof, 0.0);
         double e_local = 0;
         auto [b, e] = par.static_range(0, static_cast<std::int64_t>(nmol));
-        for (std::int64_t a = b; a < e; ++a)
+        for (std::int64_t a = b; a < e; ++a) {
           for (std::size_t bm = static_cast<std::size_t>(a) + 1; bm < nmol; ++bm)
             e_local += pair_force(pos.get(), local.data(), static_cast<std::size_t>(a), bm);
+          par.compute(nmol - static_cast<std::size_t>(a) - 1, kHostNsPerPair);
+        }
         par.reduce_into(frc, local.data(), dof, [](double x, double y) { return x + y; });
         par.reduce_sum(energy, &e_local, 1);
       });

@@ -64,9 +64,11 @@ AppResult run_tmk(const Params& p, tmk::DsmConfig cfg) {
       // Phase 3: inter-molecular forces into a private buffer, merged under
       // the lock.
       std::vector<double> local(dof, 0.0);
-      for (std::size_t a = mb; a < me; ++a)
+      for (std::size_t a = mb; a < me; ++a) {
         for (std::size_t b = a + 1; b < p.nmol; ++b)
           e_local += pair_force(pos.get(), local.data(), a, b);
+        tmk.compute(p.nmol - a - 1, kHostNsPerPair);
+      }
       tmk.lock_acquire(kMergeLock);
       for (std::size_t i = 0; i < dof; ++i)
         if (local[i] != 0.0) frc[i] = frc[i] + local[i];

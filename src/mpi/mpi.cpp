@@ -19,10 +19,7 @@ void MpiRuntime::run(const std::function<void(Comm&)>& fn) {
   threads.reserve(cfg_.num_ranks);
   for (std::uint32_t r = 0; r < cfg_.num_ranks; ++r) {
     threads.emplace_back([&, r] {
-      Comm& c = *comms[r];
-      c.sync_cpu();  // rebase the meter on this thread
-      fn(c);
-      c.sync_cpu();
+      fn(*comms[r]);
     });
   }
   for (auto& t : threads) t.join();
@@ -41,7 +38,6 @@ std::uint64_t MpiRuntime::virtual_time_ns() const {
 }
 
 void Comm::send(const void* buf, std::size_t bytes, int dst, int tag) {
-  sync_cpu();
   clock_.advance_us(rt_.config().net.send_overhead_us);
   sim::Message m;
   m.type = 1;
@@ -71,7 +67,7 @@ int Comm::match_from_pending(void* buf, std::size_t bytes, int src, int tag) {
   return -1;
 }
 
-int Comm::recv_into(void* buf, std::size_t bytes, int src, int tag) {
+int Comm::recv(void* buf, std::size_t bytes, int src, int tag) {
   if (int actual = match_from_pending(buf, bytes, src, tag); actual >= 0)
     return actual;
   for (;;) {
@@ -88,13 +84,6 @@ int Comm::recv_into(void* buf, std::size_t bytes, int src, int tag) {
     }
     pending_.push_back(std::move(*m));
   }
-}
-
-int Comm::recv(void* buf, std::size_t bytes, int src, int tag) {
-  sync_cpu();
-  const int actual = recv_into(buf, bytes, src, tag);
-  meter_.rebase();
-  return actual;
 }
 
 Request Comm::isend(const void* buf, std::size_t bytes, int dst, int tag) {

@@ -98,8 +98,10 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return static_cast<int>(rt_.config().num_ranks); }
   sim::VirtualClock& clock() { return clock_; }
-  void sync_cpu() {
-    clock_.advance_ns(rt_.config().time.scale_ns(meter_.take_delta_ns()));
+  // Charges `units` of application work, each worth `host_ns_per_unit` host
+  // nanoseconds, to this rank's virtual clock (TimeModel::compute_ns).
+  void compute(std::uint64_t units, double host_ns_per_unit) {
+    clock_.advance_ns(rt_.config().time.compute_ns(units, host_ns_per_unit));
   }
 
   // ---- point to point ----
@@ -147,7 +149,6 @@ class Comm {
   // Pops the next message for this rank, advancing virtual time; consults the
   // out-of-order buffer first.  Returns the source rank, or -1 for no match.
   int match_from_pending(void* buf, std::size_t bytes, int src, int tag);
-  int recv_into(void* buf, std::size_t bytes, int src, int tag);
 
   template <typename T>
   static void apply_op(T* acc, const T* in, std::size_t count, Op op) {
@@ -163,7 +164,6 @@ class Comm {
   MpiRuntime& rt_;
   int rank_;
   sim::VirtualClock clock_;
-  sim::CpuMeter meter_;
   std::deque<sim::Message> pending_;  // arrived but not yet matched
 };
 

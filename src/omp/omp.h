@@ -91,6 +91,11 @@ class Par {
   // Retained only so Figures 1-2 can be reproduced for the ablation.
   void flush() { tmk_.flush(); }
 
+  // Charges counted application work to this thread's node (Tmk::compute).
+  void compute(std::uint64_t units, double host_ns_per_unit) {
+    tmk_.compute(units, host_ns_per_unit);
+  }
+
   // `master` construct: body runs on thread 0 only (no implied barrier).
   template <typename F>
   void master(const F& body) {

@@ -1,8 +1,9 @@
 // Per-node virtual clocks.
 //
 // Each simulated workstation accumulates virtual time from two sources:
-//   (a) measured CPU time of its compute thread, scaled by TimeModel (the
-//       application work it would have done on the paper's hardware), and
+//   (a) application compute, which the program charges as counted work
+//       units priced by TimeModel::compute_ns (the work it would have done
+//       on the paper's hardware), and
 //   (b) modeled communication/service delays from the network model.
 // Synchronization transfers timestamps: a blocked receiver's clock jumps to
 // the message arrival time.  The clock is atomic because a node's protocol
@@ -12,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <ctime>
 
 #include "simnet/model.h"
 
@@ -43,40 +43,6 @@ class VirtualClock {
 
  private:
   std::atomic<std::uint64_t> ns_{0};
-};
-
-// Samples monotonic time so that application compute between runtime entry
-// points can be attributed to the node's virtual clock.  The runtime rebases
-// the meter around every blocking wait, so a delta covers a stretch where the
-// thread was executing application code.  (CLOCK_THREAD_CPUTIME_ID would be
-// the exact measure, but sandboxed kernels quantize it to ~10 ms, far too
-// coarse; monotonic deltas between rebases are the faithful portable proxy.)
-// Owned by a node and touched only from its compute thread.
-class CpuMeter {
- public:
-  CpuMeter() { last_ns_ = sample_ns(); }
-
-  // Nanoseconds of application execution since the previous call.
-  std::uint64_t take_delta_ns() {
-    const std::uint64_t now = sample_ns();
-    const std::uint64_t delta = now >= last_ns_ ? now - last_ns_ : 0;
-    last_ns_ = now;
-    return delta;
-  }
-
-  // Re-bases the meter without crediting elapsed time (used when a compute
-  // thread was blocked rather than computing).
-  void rebase() { last_ns_ = sample_ns(); }
-
-  static std::uint64_t sample_ns() {
-    timespec ts{};
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-  }
-
- private:
-  std::uint64_t last_ns_;
 };
 
 }  // namespace now::sim

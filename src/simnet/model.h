@@ -61,16 +61,21 @@ struct NetworkModel {
   }
 };
 
-// Converts measured host CPU time into simulated 1998-workstation CPU time.
-// A modern core retires roughly cpu_scale times the useful work of a 200 MHz
-// Pentium Pro on these kernels (clock x IPC x vector width); the default is
-// calibrated so the compute/communication ratio -- which is what decides
-// every speedup shape in the paper -- lands in the paper's regime with the
-// bench workload sizes.
+// Prices application compute.  Each application counts the work units its
+// kernel performs (cells swept, butterflies, molecule pairs, ...) and charges
+// them with the host nanoseconds one unit took on the host that calibrated
+// it; cpu_scale converts those host nanoseconds into 200 MHz Pentium Pro
+// nanoseconds.  The count, not the host's timing, decides the charge, so
+// virtual compute is the same on a loaded and an idle host.  The default
+// puts the compute/communication ratio -- which is what decides every
+// speedup shape in the paper -- in the paper's regime with the bench
+// workload sizes.  cpu_scale = 0 charges no compute at all (the protocol-
+// only configuration every gated count uses).
 struct TimeModel {
   double cpu_scale = 150.0;
-  std::uint64_t scale_ns(std::uint64_t host_ns) const {
-    return static_cast<std::uint64_t>(static_cast<double>(host_ns) * cpu_scale);
+  std::uint64_t compute_ns(std::uint64_t units, double host_ns_per_unit) const {
+    return static_cast<std::uint64_t>(static_cast<double>(units) *
+                                      host_ns_per_unit * cpu_scale);
   }
 };
 

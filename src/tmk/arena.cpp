@@ -74,17 +74,8 @@ std::mutex g_registry_mu;
 struct sigaction g_prev_action;
 bool g_installed = false;
 
-// Calibration scratch page: the handler just reopens it.
-std::atomic<std::uint8_t*> g_calib_page{nullptr};
-std::atomic<std::uint64_t> g_fault_delivery_ns{0};
-
 void segv_handler(int signo, siginfo_t* info, void* ucontext) {
   void* addr = info->si_addr;
-  std::uint8_t* calib = g_calib_page.load(std::memory_order_acquire);
-  if (calib != nullptr && addr >= calib && addr < calib + kPageSize) {
-    ::mprotect(calib, kPageSize, PROT_READ | PROT_WRITE);
-    return;
-  }
   for (auto& slot : g_runtimes) {
     DsmRuntime* rt = slot.load(std::memory_order_acquire);
     if (rt != nullptr && rt->arena().contains(addr)) {
@@ -108,33 +99,6 @@ void segv_handler(int signo, siginfo_t* info, void* ucontext) {
   ::raise(SIGSEGV);
 }
 
-std::uint64_t monotonic_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-void calibrate_fault_cost_locked() {
-  auto* page = static_cast<std::uint8_t*>(::mmap(
-      nullptr, kPageSize, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
-  NOW_CHECK(page != MAP_FAILED);
-  g_calib_page.store(page, std::memory_order_release);
-  constexpr int kRounds = 32;
-  std::uint64_t total = 0;
-  for (int i = 0; i < kRounds; ++i) {
-    ::mprotect(page, kPageSize, PROT_NONE);
-    const std::uint64_t t0 = monotonic_ns();
-    page[128] = 1;  // fault -> handler reopens the page
-    total += monotonic_ns() - t0;
-  }
-  g_calib_page.store(nullptr, std::memory_order_release);
-  ::munmap(page, kPageSize);
-  // Under concurrent load, delivery runs meaningfully slower than this idle
-  // calibration; scale it up rather than bill kernel time as compute.
-  g_fault_delivery_ns.store(2 * (total / kRounds), std::memory_order_relaxed);
-}
-
 void install_handler_locked() {
   if (g_installed) return;
   struct sigaction sa;
@@ -150,9 +114,7 @@ void install_handler_locked() {
 
 void register_runtime(DsmRuntime* rt) {
   std::lock_guard<std::mutex> lock(g_registry_mu);
-  const bool first = !g_installed;
   install_handler_locked();
-  if (first) calibrate_fault_cost_locked();
   for (auto& slot : g_runtimes) {
     DsmRuntime* expected = nullptr;
     if (slot.compare_exchange_strong(expected, rt, std::memory_order_release))
@@ -166,10 +128,6 @@ void unregister_runtime(DsmRuntime* rt) {
   for (auto& slot : g_runtimes)
     if (slot.load(std::memory_order_relaxed) == rt)
       slot.store(nullptr, std::memory_order_release);
-}
-
-std::uint64_t fault_delivery_ns() {
-  return g_fault_delivery_ns.load(std::memory_order_relaxed);
 }
 
 }  // namespace fault

@@ -70,12 +70,6 @@ namespace fault {
 void register_runtime(DsmRuntime* rt);
 void unregister_runtime(DsmRuntime* rt);
 
-// Measured host cost of one SIGSEGV delivery + trivial handling on this
-// kernel (sandboxed kernels make this hundreds of microseconds).  The fault
-// path subtracts it from the compute meter so kernel artifacts are not
-// billed as application time.
-std::uint64_t fault_delivery_ns();
-
 }  // namespace fault
 
 }  // namespace now::tmk

@@ -114,9 +114,10 @@ class Node {
   std::size_t page_chunks();
   // This node's knowledge-log vector time.
   VectorTime vector_time();
-  // Floor most recently applied by gc_at_barrier (piggybacked on messages
-  // whose records merge into a peer's manager log, so the sparse manager log
-  // can raise its own floor before merging).
+  // The highest GC floor applied so far, by a barrier or fork point
+  // (gc_at_barrier), a lock grant or an on-demand exchange (gc_raise_floor).
+  // Piggybacked on messages whose records merge into a peer's manager log,
+  // so the sparse manager log can raise its own floor before merging.
   VectorTime gc_floor_snapshot();
   // Prints lock-client and manager state to stderr (deadlock forensics).
   void debug_dump();
@@ -132,8 +133,6 @@ class Node {
   // under `key` were judged dead.
   void push_deny(std::uint32_t key,
                  const std::map<std::uint32_t, std::vector<PageIndex>>& deny);
-  // Charge accumulated compute time to the virtual clock.
-  void sync_cpu();
 
  private:
   // Holds proto_mu_ for one runtime entry or one service handler.  Taking it
@@ -184,12 +183,13 @@ class Node {
   // Raises the manager-duty log's floor to a sender's piggybacked floor
   // before merging its delta (service thread).
   void mgr_gc_to(const VectorTime& floor);
-  // Applies a floor learned off the lock-grant chain (compute thread): raise
-  // the knowledge-log floor, sent-caches and validate pages — but never the
-  // own-diff reclamation bounds, which only move at barrier/fork points
-  // whose global alignment proves no validation fetch is still in flight.
-  // Fast no-op when the floor does not advance past the applied one (the
-  // common case: floors are established at sync points every node attends).
+  // Applies a floor that did not come from a barrier or fork point (compute
+  // thread): one a lock grant carries, or an on-demand exchange's departure
+  // (gc_poll).  Raises the knowledge-log floor, sent-caches and validates
+  // pages — but never the own-diff reclamation bounds, which only move at
+  // barrier/fork points (whose global alignment proves no validation fetch
+  // is still in flight) or to an exchange's ack.  Fast no-op when the floor
+  // does not advance past the applied one.
   void gc_raise_floor(const VectorTime& floor);
 
   // ---------- on-demand GC exchange (ceiling-triggered, barrier-free) ----------
@@ -470,7 +470,6 @@ class Node {
   const std::uint32_t num_nodes_;
 
   sim::VirtualClock clock_;
-  sim::CpuMeter cpu_meter_;
   DsmStats stats_;
 
   // ---- page table (chunks allocated on first touch) ----
@@ -573,7 +572,7 @@ class Node {
   std::uint64_t own_lamport_ = 0;  // lamport of last closed interval
   std::vector<VectorTime> sent_node_vt_;  // per peer: what their node log has
   std::vector<VectorTime> sent_mgr_vt_;   // per peer: what their mgr log has
-  VectorTime gc_floor_applied_;           // last barrier-GC floor applied
+  VectorTime gc_floor_applied_;           // highest GC floor applied, any source
   // Highest floor this node has fully *validated* pages against (every
   // notice at or below it pinned or applied).  Raised by the compute thread
   // after each gc_validate_pages pass; snapshotted by the service thread

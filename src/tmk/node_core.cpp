@@ -56,11 +56,6 @@ void Node::join_service() {
 
 void Node::bind_compute_thread() {
   detail::region_base() = rt_.arena().region_base(id_);
-  cpu_meter_.rebase();
-}
-
-void Node::sync_cpu() {
-  clock_.advance_ns(rt_.config().time.scale_ns(cpu_meter_.take_delta_ns()));
 }
 
 // ---------------------------------------------------------------------------
@@ -101,9 +96,6 @@ void Node::close_interval() {
     // already in the store under this interval's seq.
   }
   dirty_pages_.clear();
-  // Interval bookkeeping (mprotect syscalls) is protocol work, not app
-  // compute; close_interval only ever runs on the compute thread.
-  cpu_meter_.rebase();
   NOW_LOG(kDebug, "node %u closed interval %u (%zu pages, first=%u)", id_,
           rec_seq, rec_npages, rec_first);
 }
@@ -128,10 +120,6 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
     for (const IntervalRecordPtr& recp : fresh)
       gc_scan_pages_.insert(gc_scan_pages_.end(), recp->pages.begin(),
                             recp->pages.end());
-  // Invalidation mprotects are protocol work, not application compute; when
-  // running on the compute thread, keep them out of the meter.  (The service
-  // thread also merges — flush/fork/join — but never owns the meter.)
-  if (detail::region_base() == rt_.arena().region_base(id_)) cpu_meter_.rebase();
 }
 
 void Node::invalidate_page(PageIndex page, PageEntry& e) {
@@ -353,7 +341,6 @@ void Node::send_service(sim::Message&& m, std::uint64_t base_ts) {
 void Node::arrive(const sim::Message& m) {
   clock_.advance_to_ns(m.arrive_ts_ns);
   clock_.advance_us(rt_.config().net.recv_overhead_us);
-  cpu_meter_.rebase();
 }
 
 sim::Message Node::rpc_call(std::uint32_t dst, std::uint16_t type,

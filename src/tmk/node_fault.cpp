@@ -19,24 +19,7 @@ void Node::handle_fault(void* addr) {
   NOW_CHECK(detail::region_base() == rt_.arena().region_base(id_))
       << "shared memory of node " << id_
       << " touched from a thread not bound to it";
-  // The compute stretch that ended in this fault includes the kernel's
-  // signal-delivery latency (large under sandboxed kernels).  Subtract the
-  // calibrated delivery cost so only application work is billed; the DSM's
-  // own fault cost is the modeled fault_overhead below.
-  {
-    std::uint64_t delta = cpu_meter_.take_delta_ns();
-    const std::uint64_t delivery = fault::fault_delivery_ns();
-    delta -= std::min(delta, delivery);
-    clock_.advance_ns(rt_.config().time.scale_ns(delta));
-  }
   clock_.advance_us(rt_.config().fault_overhead_us);
-  // Host time spent inside the handler (sandboxed signal delivery, mprotect,
-  // twin copies) is NOT application compute: the protocol's costs are
-  // modeled explicitly, so the meter is re-based on every exit path.
-  struct RebaseOnExit {
-    sim::CpuMeter& meter;
-    ~RebaseOnExit() { meter.rebase(); }
-  } rebase_guard{cpu_meter_};
   // Fails loudly if this thread already holds the lock: runtime code that
   // touched a protected page.
   ProtoGuard guard(*this);

@@ -27,7 +27,6 @@ std::uint64_t cond_key(std::uint32_t lock_id, std::uint32_t cond_id) {
 // ---------------------------------------------------------------------------
 
 void Node::barrier() {
-  sync_cpu();
   ProtoGuard guard(*this);
   maybe_crash();  // "at barrier arrival" crash site
   gc_poll();
@@ -291,15 +290,15 @@ void Node::gc_at_barrier(const VectorTime& floor) {
 }
 
 void Node::gc_raise_floor(const VectorTime& floor) {
-  // A floor learned off the lock-grant chain.  Floors are *established* only
-  // at global sync points (barriers, forks) that this node also attends, so
-  // a propagated floor almost never advances past the applied one and this
-  // returns at the compare.  When it does advance (defensive: a config mix
-  // where this node skipped a establishment point), the floor is applied —
-  // but the own-diff reclamation bounds (gc_drop_seq_ / gc_reclaimed_seq_)
-  // are NOT moved: advancing them requires proof that every peer's
-  // validation fetches have drained, which only the global alignment of a
-  // barrier or fork provides.
+  // A floor carried by a lock grant, or the departure of an on-demand
+  // exchange.  Barriers and fork points establish floors that every node
+  // applies itself, so a grant's floor usually returns at the compare; an
+  // exchange's departure (and a grant relaying it before the receiver's own
+  // gc_poll) does advance it.  The floor is then applied — but the own-diff
+  // reclamation bounds (gc_drop_seq_ / gc_reclaimed_seq_) are NOT moved
+  // here: advancing them requires proof that every peer's validation
+  // fetches have drained, which the global alignment of a barrier or fork,
+  // or an exchange's ack (gc_poll), provides.
   bool advances = false;
   for (std::uint32_t i = 0; i < num_nodes_; ++i) {
     if (floor[i] > gc_floor_applied_[i]) {
@@ -733,7 +732,6 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
 }
 
 void Node::lock_acquire(std::uint32_t lock_id) {
-  sync_cpu();
   ProtoGuard guard(*this);
   maybe_crash();  // "mid lock chain" crash site (requester side)
   gc_poll();
@@ -772,7 +770,6 @@ void Node::lock_acquire(std::uint32_t lock_id) {
 }
 
 void Node::lock_release(std::uint32_t lock_id) {
-  sync_cpu();
   ProtoGuard guard(*this);
   maybe_crash();  // "mid lock chain" crash site (holder side: grant withheld)
   gc_poll();
@@ -920,7 +917,6 @@ void Node::on_lock_forward(sim::Message&& m) {
 // ---------------------------------------------------------------------------
 
 void Node::sema_wait(std::uint32_t sema_id) {
-  sync_cpu();
   ProtoGuard guard(*this);
   maybe_crash();
   gc_poll();
@@ -934,7 +930,6 @@ void Node::sema_wait(std::uint32_t sema_id) {
 }
 
 void Node::sema_signal(std::uint32_t sema_id) {
-  sync_cpu();
   ProtoGuard guard(*this);
   maybe_crash();
   gc_poll();
@@ -1007,7 +1002,6 @@ void Node::on_sema_signal(sim::Message&& m) {
 
 void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
   NOW_LOG(kDebug, "node %u: cond_wait(%u,%u) begin", id_, lock_id, cond_id);
-  sync_cpu();
   ProtoGuard guard(*this);
   gc_poll();
   stats_.cond_ops.fetch_add(1, std::memory_order_relaxed);
@@ -1072,7 +1066,6 @@ void Node::cond_wait(std::uint32_t lock_id, std::uint32_t cond_id) {
 }
 
 void Node::cond_notify(std::uint32_t lock_id, std::uint32_t cond_id, bool broadcast) {
-  sync_cpu();
   ProtoGuard guard(*this);
   gc_poll();
   stats_.cond_ops.fetch_add(1, std::memory_order_relaxed);
@@ -1148,7 +1141,6 @@ void Node::on_cond_signal(sim::Message&& m, bool broadcast) {
 // ---------------------------------------------------------------------------
 
 void Node::flush() {
-  sync_cpu();
   ProtoGuard guard(*this);
   gc_poll();
   stats_.flushes.fetch_add(1, std::memory_order_relaxed);
@@ -1185,7 +1177,6 @@ void Node::flush() {
 // ---------------------------------------------------------------------------
 
 void Node::fork_slaves(ForkFn fn, const void* arg, std::size_t arg_size) {
-  sync_cpu();
   ProtoGuard guard(*this);
   close_interval();
   // Fork is a barrier-free release point: nothing is pushed here, so the
@@ -1264,7 +1255,6 @@ bool Node::slave_serve_one(Tmk& tmk) {
   // faults take it themselves.
   fn(tmk, arg.data(), arg.size());
 
-  sync_cpu();
   ProtoGuard guard(*this);
   close_interval();
   epoch_dirty_.clear();  // join: barrier-free release point, see fork_slaves
@@ -1301,7 +1291,6 @@ void Node::debug_dump() {
 // ---------------------------------------------------------------------------
 
 std::uint64_t Node::shared_malloc(std::size_t bytes, std::size_t align) {
-  sync_cpu();
   ProtoGuard guard(*this);
   ByteWriter w;
   w.u64(bytes);
@@ -1312,7 +1301,6 @@ std::uint64_t Node::shared_malloc(std::size_t bytes, std::size_t align) {
 }
 
 void Node::shared_free(std::uint64_t offset) {
-  sync_cpu();
   ProtoGuard guard(*this);
   ByteWriter w;
   w.u64(offset);

@@ -58,7 +58,6 @@ RunReport DsmRuntime::run_spmd(const std::function<void(Tmk&)>& fn) {
           // Collateral unwind on a survivor.  Recovery (or the clean
           // failure report) starts only after every thread quiesced.
         }
-        n.sync_cpu();
         detail::region_base() = nullptr;  // the worker goes back to the pool
       });
     }

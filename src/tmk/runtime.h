@@ -82,6 +82,13 @@ struct Tmk {
   }
   void join() { node.join_slaves(); }
 
+  // ---- compute ----
+  // Charges `units` of application work, each worth `host_ns_per_unit` host
+  // nanoseconds, to this node's virtual clock (TimeModel::compute_ns).  An
+  // application charges a stretch's units before the sync operation that
+  // closes the stretch, so the sync leaves at the right virtual time.
+  void compute(std::uint64_t units, double host_ns_per_unit);
+
   // ---- crash recovery ----
   // Barrier epochs already durable when this execution of `fn` started:
   // 0 on the first attempt, the rolled-back-to epoch after a recovery.
@@ -206,5 +213,8 @@ class DsmRuntime {
 
 inline std::uint32_t Tmk::nprocs() const { return rt.config().num_nodes; }
 inline std::uint64_t Tmk::resume_epoch() const { return rt.resume_epoch(); }
+inline void Tmk::compute(std::uint64_t units, double host_ns_per_unit) {
+  node.clock().advance_ns(rt.config().time.compute_ns(units, host_ns_per_unit));
+}
 
 }  // namespace now::tmk

@@ -104,6 +104,56 @@ TEST_P(AppsAtNodes, Sweep3dAllVersionsMatchSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Nodes, AppsAtNodes, ::testing::Values(2u, 4u, 8u));
 
+// Compute is charged in counted work units, so a one-node DSM run charges
+// exactly the sequential run's compute: its virtual time at the default
+// cpu_scale, minus the same run's protocol-only time at cpu_scale 0, is the
+// sequential virtual time.
+template <typename Params, typename RunSeq, typename RunTmk>
+void expect_one_node_charges_sequential(const Params& p, RunSeq run_seq, RunTmk run_tmk) {
+  const double seq_us = run_seq(p, sim::TimeModel{}).virtual_time_us;
+  tmk::DsmConfig protocol_only = dsm_cfg(1);
+  protocol_only.time.cpu_scale = 0.0;
+  const double compute_us =
+      run_tmk(p, dsm_cfg(1)).virtual_time_us - run_tmk(p, protocol_only).virtual_time_us;
+  EXPECT_GT(seq_us, 0.0);
+  EXPECT_NEAR(compute_us, seq_us, 0.02 * seq_us);
+}
+
+TEST(AppsOneNode, QsortChargesTheSequentialCompute) {
+  qs::Params p;
+  p.n = 1 << 14;
+  p.bubble_threshold = 128;
+  expect_one_node_charges_sequential(p, qs::run_seq, qs::run_tmk);
+}
+
+TEST(AppsOneNode, TspChargesTheSequentialCompute) {
+  tsp::Params p;
+  p.ncities = 10;
+  p.exhaustive_depth = 6;
+  expect_one_node_charges_sequential(p, tsp::run_seq, tsp::run_tmk);
+}
+
+TEST(AppsOneNode, WaterChargesTheSequentialCompute) {
+  water::Params p;
+  p.nmol = 64;
+  p.steps = 2;
+  expect_one_node_charges_sequential(p, water::run_seq, water::run_tmk);
+}
+
+TEST(AppsOneNode, Fft3dChargesTheSequentialCompute) {
+  fft3d::Params p;
+  p.nx = p.ny = p.nz = 16;
+  p.iters = 2;
+  expect_one_node_charges_sequential(p, fft3d::run_seq, fft3d::run_tmk);
+}
+
+TEST(AppsOneNode, Sweep3dChargesTheSequentialCompute) {
+  sweep3d::Params p;
+  p.nx = p.ny = p.nz = 16;
+  p.k_block = 4;
+  expect_one_node_charges_sequential(p, sweep3d::run_seq, sweep3d::run_tmk);
+}
+
 TEST(AppsTraffic, DsmVersionsReportTrafficAndMpiReportsLess) {
   // The paper's Table 2 shape on a small instance: the DSM versions send
   // more messages than MPI for the regular applications.

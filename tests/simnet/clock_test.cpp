@@ -45,27 +45,23 @@ TEST(VirtualClock, ConcurrentAdvanceToTakesMax) {
   EXPECT_EQ(c.now_ns(), 800u);
 }
 
-TEST(CpuMeter, MeasuresBusyWork) {
-  CpuMeter m;
-  volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink = sink + 1.0;
-  EXPECT_GT(m.take_delta_ns(), 0u);
-}
-
-TEST(CpuMeter, RebaseDiscardsElapsedTime) {
-  CpuMeter m;
-  volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink = sink + 1.0;
-  m.rebase();
-  // Whatever little work happens between rebase and sampling is tiny
-  // compared to the loop above.
-  EXPECT_LT(m.take_delta_ns(), 5000000u);
-}
-
-TEST(TimeModel, ScalesHostTime) {
+TEST(TimeModel, ComputeChargeAtScaleZeroAdvancesNothing) {
   TimeModel tm;
-  tm.cpu_scale = 10.0;
-  EXPECT_EQ(tm.scale_ns(100), 1000u);
+  tm.cpu_scale = 0.0;
+  VirtualClock c;
+  c.advance_ns(tm.compute_ns(1000000, 37.5));
+  EXPECT_EQ(c.now_ns(), 0u);
+}
+
+TEST(TimeModel, ComputeChargeIsUnitsTimesPriceTimesScale) {
+  TimeModel tm;
+  tm.cpu_scale = 150.0;
+  VirtualClock c;
+  c.advance_ns(tm.compute_ns(4096, 2.5));
+  EXPECT_EQ(c.now_ns(), 4096u * 375u);  // 2.5 host ns x 150 per unit
+  // The charge depends on nothing but its arguments.
+  c.advance_ns(tm.compute_ns(4096, 2.5));
+  EXPECT_EQ(c.now_ns(), 2u * 4096u * 375u);
 }
 
 }  // namespace
