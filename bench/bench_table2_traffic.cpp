@@ -24,10 +24,11 @@ int main(int argc, char** argv) {
   // Barrier-GC, requester-side diff cache and multi-page prefetch activity:
   // records and diff bytes the DSM versions reclaimed at barriers, the fetch
   // round trips they skipped because GC pinned or a fault prefetched the
-  // diffs locally, and the neighbor pages those faults batched.  The columns
-  // of optional protocol modes follow the runtime configuration — with a
-  // mode off its counters cannot move, so its rows are omitted rather than
-  // printed as misleading zeros.  Barrier-free applications (TSP's
+  // diffs locally, and the neighbor pages those faults batched (PfBatched)
+  // and, outside critical sections, validated on arrival (PfValid).  The
+  // columns of optional protocol modes follow the runtime configuration —
+  // with a mode off its counters cannot move, so its rows are omitted rather
+  // than printed as misleading zeros.  Barrier-free applications (TSP's
   // lock-only phases) legitimately reclaim nothing.
   const tmk::DsmConfig dsm = dsm_cfg(kNodes);
   const bool prefetch_on = dsm.prefetch_window() > 0;
@@ -46,6 +47,7 @@ int main(int argc, char** argv) {
   if (prefetch_on) {
     extra_head.push_back("PfBatched Tmk");
     extra_head.push_back("PfHit Tmk");
+    extra_head.push_back("PfValid Tmk");
   }
   if (update_on) {
     extra_head.push_back("UpdPush Tmk");
@@ -109,6 +111,7 @@ int main(int argc, char** argv) {
     if (prefetch_on) {
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_requests_batched));
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_hits));
+      row.push_back(Table::fmt(r.tmk.dsm.prefetch_pages_validated));
     }
     if (update_on) {
       row.push_back(Table::fmt(r.tmk.dsm.update_pushes_sent));

@@ -142,13 +142,17 @@ struct DsmConfig {
   // Multi-page prefetch on fault: when a fault sends a kDiffRequest, up to
   // this many neighboring invalid pages (the window [page+1, page+N]) with
   // write notices from the writers already being contacted have their wanted
-  // interval seqs folded into the same request — one round trip fills the
-  // faulting page and populates the neighbors' requester-side diff caches,
-  // so a strided traversal (Sweep3D planes, FFT transposes) pays one message
-  // per window instead of one per page.  Prefetched entries go through the
-  // budgeted FIFO PageDiffCache::insert: droppable, and transparently
-  // refetched by the real fault if evicted.  0 disables prefetch.  Default
-  // overridable via TMK_PREFETCH_PAGES.
+  // interval seqs folded into the same request, so a strided traversal
+  // (Sweep3D planes, FFT transposes) pays one message per window instead of
+  // one per page.  Outside a critical section the window folds only a
+  // neighbor the request covers whole (every wanted interval from a
+  // contacted writer or already cached) and validates it on arrival:
+  // applied in lamport order and mapped read-only, so its first read does
+  // not fault.  Inside one — and for a neighbor that gained a notice while
+  // the fetch waited — the chunks are parked in the neighbors' diff caches
+  // through the budgeted FIFO PageDiffCache::insert: droppable, and
+  // transparently refetched by the real fault if evicted.  0 disables
+  // prefetch.  Default overridable via TMK_PREFETCH_PAGES.
   std::size_t prefetch_pages = detail::env_size("TMK_PREFETCH_PAGES", 4);
 
   // Per-page byte budget for the requester-side diff cache (already-fetched

@@ -160,7 +160,35 @@ class Node {
   // invalidates local copies (acquire side of lazy invalidate RC).
   void merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs);
   // Fetches and applies all unapplied diffs for a page (fault path).
+  // Outside a critical section its prefetch window validates each
+  // neighbor the request covers whole (see node_fault.cpp).
   void fetch_and_apply(PageIndex page, PageEntry& entry);
+  // Fetched diff chunks: views into reply payloads keyed (page, author, seq)
+  // (fetch_diffs).
+  using DiffChunkView = std::pair<const std::uint8_t*, std::size_t>;
+  using DiffKey = std::tuple<PageIndex, std::uint32_t, std::uint32_t>;
+  using FetchedDiffs = std::map<DiffKey, std::vector<DiffChunkView>>;
+  // What apply passes cost: bytes patched and chunks applied, charged
+  // together by charge_apply (diffs_applied, diff_apply_per_kb_us).
+  struct ApplyCost {
+    std::size_t patched = 0;
+    std::uint64_t applied = 0;
+  };
+  // The one apply sequence (compute thread), shared by the fault, the
+  // prefetch window's validation and the push landing.  Cover: every one of
+  // the first `n` notices of an invalid page's `unapplied` must be held in
+  // `fetched` (may be null) or the page's diff cache, else nothing changes
+  // and it returns false.  Then sort them by applies_before, apply, release
+  // each cached entry — with `keep`, retain every applied chunk as relay
+  // stock instead (pins excepted) — drop them from `unapplied`, and map:
+  // read-only once nothing is left unapplied, else invalid for another
+  // round.  Adds the work to `cost`.
+  bool apply_covered(PageIndex page, PageEntry& e, std::size_t n,
+                     const FetchedDiffs* fetched, bool keep, ApplyCost& cost);
+  void charge_apply(const ApplyCost& cost);
+  // A read of an invalid page (its fault, or its validation by a
+  // neighbor's prefetch): moves its unheard writers into read_marks_.
+  void hear_read(PageIndex page, PageEntry& e);
   // Computes diff(twin, current) into the diff store and drops the twin.
   // The page must be readable.
   void materialize_twin(PageIndex page, PageEntry& entry);
@@ -263,8 +291,7 @@ class Node {
   };
   // What a landing pass accumulates: its apply cost and the denies it owes.
   struct PushBatch {
-    std::size_t patched = 0;
-    std::uint64_t applied = 0;
+    ApplyCost cost;
     std::map<std::uint32_t, std::vector<PageIndex>> deny;  // pusher -> pages
   };
   // The one landing routine (compute thread): park the chunks in the page's
@@ -277,8 +304,8 @@ class Node {
                  const std::vector<std::uint32_t>& pushers,
                  std::vector<PushedChunk>& chunks, PushBatch& b);
   // The shared tail of every applied push (page contents current, mapped
-  // read-write): every Nth push to the page is left armed and judged under
-  // `key`, the rest validate.
+  // read-only by apply_covered): every Nth push to the page is unmapped
+  // again, armed and judged under `key`; the rest stay validated.
   void push_settle(std::uint32_t key, PageIndex page, PageEntry& e,
                    const std::vector<std::uint32_t>& pushers);
   // Charges a landing pass's apply cost and sends the denies it owes.
@@ -392,8 +419,6 @@ class Node {
   // uses the routed layout (every entry names its author); entries the
   // writer no longer holds come back marked missing and are appended to
   // *misses (required then), for the caller to fetch from their authors.
-  using DiffChunkView = std::pair<const std::uint8_t*, std::size_t>;
-  using DiffKey = std::tuple<PageIndex, std::uint32_t, std::uint32_t>;
   struct DiffWant {
     PageIndex page = 0;
     std::uint32_t writer = 0;
@@ -405,7 +430,7 @@ class Node {
   static constexpr std::uint8_t kDiffReqForGc = 1;
   static constexpr std::uint8_t kDiffReqRouted = 2;
   static constexpr std::uint32_t kDiffStockMiss = 0xffffffffu;
-  std::map<DiffKey, std::vector<DiffChunkView>> fetch_diffs(
+  FetchedDiffs fetch_diffs(
       const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
       bool for_gc = false, std::vector<DiffKey>* misses = nullptr);
 

@@ -194,7 +194,7 @@ std::size_t Node::meta_bytes() {
 // Messaging helpers
 // ---------------------------------------------------------------------------
 
-std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
+Node::FetchedDiffs Node::fetch_diffs(
     const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
     bool for_gc, std::vector<DiffKey>* misses) {
   // One kDiffRequest per *writer*, carrying every page wanted from it:
@@ -262,7 +262,7 @@ std::map<Node::DiffKey, std::vector<Node::DiffChunkView>> Node::fetch_diffs(
   // The chunk views point into the reply payloads (zero-copy: the only copy
   // left to the caller is whatever it does with the chunks).  The payload
   // heap buffers are stable even if `replies` reallocates.
-  std::map<DiffKey, std::vector<DiffChunkView>> got;
+  FetchedDiffs got;
   std::uint64_t served = 0, missed = 0;
   replies.reserve(replies.size() + calls.size());
   for (const Call& c : calls) {

@@ -31,13 +31,7 @@ void Node::handle_fault(void* addr) {
     case PageState::kInvalid: {
       stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
       lock_push_note_touch(page);
-      // Writers whose diffs reached this page without a request naming a
-      // read (validation pins, a backlog the validation pass applied) hear
-      // of this one as reader marks carried by the next barrier.
-      if (e.unheard_writers != 0) {
-        read_marks_[page] |= e.unheard_writers;
-        e.unheard_writers = 0;
-      }
+      hear_read(page, e);
       if (e.unapplied.empty()) {
         if (e.push_armed != PushKind::kNone) {
           // Armed push (either keying): the contents are already current,
@@ -104,26 +98,19 @@ void Node::handle_fault(void* addr) {
 void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
   const std::size_t cache_budget = rt_.config().diff_cache_bytes_per_page;
   const std::size_t window = rt_.config().prefetch_pages;
-  for (;;) {
-    std::vector<UnappliedNotice> want;
+  // Each round applies the notices it saw; the service thread may append
+  // more (a flush) while the fetch waits — another round then.
+  while (!e.unapplied.empty()) {
+    const std::size_t nwant = e.unapplied.size();
     std::vector<UnappliedNotice> need;  // not already held in the diff cache
     std::uint64_t cache_hits = 0, cache_bytes = 0, pf_hits = 0;
-    if (e.unapplied.empty()) {
-      if (e.state == PageState::kInvalid) {
-        rt_.arena().protect_read(id_, page);
-        e.state = PageState::kReadOnly;
-        e.ever_valid = true;
-      }
-      return;
-    }
-    want = e.unapplied;
     // Chunks already held locally — parked by a neighbor fault's prefetch,
     // pinned by the barrier-GC validation pass (whose writers may have
     // reclaimed them since), or kept from an earlier fault — need no round
     // trip at all; only the compute thread mutates the cache, so the
     // partition stays valid while the fetch below waits with the lock
     // released.
-    for (const auto& n : want) {
+    for (const auto& n : e.unapplied) {
       if (const auto* ent = e.diff_cache.lookup(n.writer, n.seq)) {
         ++cache_hits;
         if (ent->prefetched) ++pf_hits;
@@ -146,7 +133,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
 
     // One diff request per writer, assembled for the shared batched fetch;
     // the reply chunk views stay alive in `replies` until the end of the
-    // iteration (zero-copy apply: the only copy left is the memcpy of the
+    // round (zero-copy apply: the only copy left is the memcpy of the
     // patched ranges themselves).
     std::map<std::uint32_t, std::vector<std::uint32_t>> by_writer;
     for (const auto& n : need) by_writer[n.writer].push_back(n.seq);
@@ -183,9 +170,20 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // entries not yet cached.  The collected (writer, seq) list stays valid
     // across the fetch: the service thread can only *append* notices, and
     // this compute thread is the only one that applies them or touches the
-    // cache.  Nothing here reorders consistency: the neighbor's
-    // chunks are parked in its cache and applied, in lamport order, by its
-    // own fault.
+    // cache.
+    //
+    // Outside a critical section the window validates what it fetches
+    // (TreadMarks' Tmk_validate): it folds a neighbor only if the request
+    // covers it whole — every wanted interval authored by a contacted
+    // writer or already cached — and applies it on arrival, in lamport
+    // order, exactly as its own fault would, so its first read does not
+    // trap and nothing fetched has to survive in the cache.  A neighbor
+    // that would still need another writer is skipped, for its own fault to
+    // fetch whole.  Inside a critical section the window and the batch
+    // below park their chunks in the neighbors' caches instead, as relay
+    // stock for the lock's next holder; a page validated there would skip
+    // the lock's touch history (lock_push_note_touch) its batch is built
+    // from.
     //
     // Critical-section batch: the first request a critical section sends
     // also carries the lock's other pages the grant invalidated (cs_batch_)
@@ -199,6 +197,9 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     struct PrefetchPage {
       PageIndex page = 0;
       bool batch = false;  // a routed batch entry may miss
+      // Validate on arrival if the page still wants exactly `nwant` notices
+      // (none gained while the fetch waited); 0: park.
+      std::size_t validate_nwant = 0;
       std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;  // (writer, seq)
     };
     std::vector<PrefetchPage> prefetch;
@@ -226,14 +227,19 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         PrefetchPage pp;
         pp.page = q;
         pp.batch = ci >= window_cands;
+        bool whole = true;  // every wanted interval fetched here or cached
         std::map<std::uint32_t, std::vector<std::uint32_t>> q_by_writer;
         for (const auto& n : qe.unapplied) {
-          if (!pp.batch && by_writer.find(n.writer) == by_writer.end()) continue;
           if (qe.diff_cache.find(n.writer, n.seq) != nullptr) continue;
+          if (!pp.batch && by_writer.find(n.writer) == by_writer.end()) {
+            whole = false;
+            continue;
+          }
           q_by_writer[n.writer].push_back(n.seq);
           pp.entries.emplace_back(n.writer, n.seq);
         }
-        if (pp.entries.empty()) continue;
+        if (pp.entries.empty() || (!in_cs && !whole)) continue;
+        if (!in_cs) pp.validate_nwant = qe.unapplied.size();
         if (pp.batch && (q_by_writer.size() > 1 ||
                          q_by_writer.begin()->first != contacted)) {
           DiffWant dw{q, contacted, {}, {}};
@@ -256,7 +262,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
 
     std::vector<sim::Message> replies;
     std::vector<DiffKey> misses;
-    auto got = fetch_diffs(wants, replies, /*for_gc=*/false, &misses);
+    FetchedDiffs got = fetch_diffs(wants, replies, /*for_gc=*/false, &misses);
     if (!misses.empty()) {
       // Second round: the routed writer's stock no longer held these (FIFO
       // eviction, a floor's prune, or a concurrent writer it never applied).
@@ -281,14 +287,35 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       if (!retry.empty()) got.merge(fetch_diffs(retry, replies));
     }
 
-    // Park the prefetched chunks in their pages' caches for the neighbor's
-    // own fault.  Budgeted FIFO insert: droppable (the writer still holds
-    // the diff — by the GC causality argument nothing wanted mid-epoch is
-    // reclaimed before the next barrier — so the real fault refetches
-    // whatever eviction lost), and a later barrier-GC floor promotes
-    // surviving entries to pins before their writers reclaim.
+    // Relay stock: inside a critical section every applied chunk stays
+    // cached, so the next holder's routed fault can ask this node for the
+    // page's whole history, and this node's own grant can push it onward
+    // (sparse chunks instead of whole-page images).  Outside one the page is
+    // not migrating along a lock chain, so cached entries are released once
+    // applied (this is what unpins barrier-GC prefetches once they have
+    // served their fault; a routed request that still wants the interval
+    // takes the miss path).
+    ApplyCost cost;
+    NOW_CHECK(apply_covered(page, e, nwant, &got, /*keep=*/in_cs, cost))
+        << "page " << page << " has an interval neither fetched nor cached";
+
+    // The neighbors: validate each one the fetch covered whole; park the
+    // rest in their caches for their own faults.  A neighbor that gained a
+    // notice while the fetch waited is parked too (its new interval was
+    // not fetched).  Parking is a budgeted FIFO insert: droppable (the
+    // writer still holds the diff — by the GC causality argument nothing
+    // wanted mid-epoch is reclaimed before the next barrier — so the real
+    // fault refetches whatever eviction lost), and a later barrier-GC floor
+    // promotes surviving entries to pins before their writers reclaim.
     for (const PrefetchPage& pp : prefetch) {
       PageEntry& qe = pages_[pp.page];
+      if (pp.validate_nwant != 0 && qe.unapplied.size() == pp.validate_nwant &&
+          apply_covered(pp.page, qe, pp.validate_nwant, &got, /*keep=*/false,
+                        cost)) {
+        hear_read(pp.page, qe);  // as the page's own read fault would
+        stats_.prefetch_pages_validated.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
       bool filled = false;
       for (const auto& [writer, seq] : pp.entries) {
         auto it = got.find({pp.page, writer, seq});
@@ -306,81 +333,97 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       if (filled)
         stats_.prefetch_pages_filled.fetch_add(1, std::memory_order_relaxed);
     }
+    charge_apply(cost);
+  }
+}
 
-    std::stable_sort(want.begin(), want.end(), applies_before);
+void Node::hear_read(PageIndex page, PageEntry& e) {
+  // Writers whose diffs reached this page without a request naming a read
+  // (validation pins, a backlog the validation pass applied) hear of this
+  // one as reader marks carried by the next barrier.
+  if (e.unheard_writers == 0) return;
+  read_marks_[page] |= e.unheard_writers;
+  e.unheard_writers = 0;
+}
 
-    // Relay stock: inside a critical section every applied chunk stays
-    // cached, so the next holder's routed fault can ask this node for the
-    // page's whole history, and this node's own grant can push it onward
-    // (sparse chunks instead of whole-page images).  Fetched chunks are
-    // inserted after the apply loop: an insert can FIFO-evict an entry a
-    // later iteration still wants.
-    std::vector<std::pair<const UnappliedNotice*, std::vector<DiffBytes>>> keep;
+bool Node::apply_covered(PageIndex page, PageEntry& e, std::size_t n,
+                         const FetchedDiffs* fetched, bool keep,
+                         ApplyCost& cost) {
+  const auto first = e.unapplied.begin();
+  const auto last = first + static_cast<std::ptrdiff_t>(n);
+  auto fetched_views =
+      [&](const UnappliedNotice& u) -> const std::vector<DiffChunkView>* {
+    if (fetched == nullptr) return nullptr;
+    auto it = fetched->find({page, u.writer, u.seq});
+    return it == fetched->end() ? nullptr : &it->second;
+  };
+  // Cover: applying a suffix out of lamport order could resurrect
+  // overwritten bytes, so all or nothing.
+  for (auto it = first; it != last; ++it)
+    if (fetched_views(*it) == nullptr &&
+        e.diff_cache.lookup(it->writer, it->seq) == nullptr)
+      return false;
+  std::stable_sort(first, last, applies_before);
 
-    rt_.arena().protect_rw(id_, page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
-    std::size_t patched = 0;
-    std::uint64_t applied = 0;
-    for (const auto& n : want) {
-      auto it = got.find({page, n.writer, n.seq});
-      if (it != got.end()) {
-        // An interval fetched here was absent from the cache at partition
-        // time and still is: only this compute thread inserts (an update
-        // push racing this fetch waits in the pending queue until the
-        // barrier's landing pass), so there is no stale entry to release.
-        std::vector<DiffBytes> owned;
-        if (in_cs) owned.reserve(it->second.size());
-        for (const DiffChunkView& d : it->second) {
-          patched += diff_apply(mem, kPageSize, d.first, d.second);
-          ++applied;
-          if (in_cs) owned.emplace_back(d.first, d.first + d.second);
-        }
-        if (in_cs) keep.emplace_back(&n, std::move(owned));
-        continue;
+  // Fetched chunks kept as stock are inserted after the apply loop: an
+  // insert can FIFO-evict an entry a later iteration still wants.
+  std::vector<std::pair<const UnappliedNotice*, std::vector<DiffBytes>>> stock;
+  rt_.arena().protect_rw(id_, page);
+  std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
+  for (auto it = first; it != last; ++it) {
+    const UnappliedNotice& u = *it;
+    // A fetched interval was absent from the cache when its request was
+    // assembled and still is: only this compute thread inserts (an update
+    // push racing the fetch waits in the pending queue until the barrier's
+    // landing pass), so there is no stale entry to release.
+    if (const auto* views = fetched_views(u)) {
+      std::vector<DiffBytes> owned;
+      if (keep) owned.reserve(views->size());
+      for (const DiffChunkView& d : *views) {
+        cost.patched += diff_apply(mem, kPageSize, d.first, d.second);
+        ++cost.applied;
+        if (keep) owned.emplace_back(d.first, d.first + d.second);
       }
-      const auto* cached = e.diff_cache.lookup(n.writer, n.seq);
-      NOW_CHECK(cached != nullptr)
-          << "writer " << n.writer << " had no diff for page " << page
-          << " interval " << n.seq;
-      for (const DiffBytes& d : cached->chunks) {
-        patched += diff_apply(mem, kPageSize, d);
-        ++applied;
-      }
-      // Outside a critical section the page is not migrating along a lock
-      // chain, so the entry is released (this is what unpins barrier-GC
-      // prefetches once they have served their fault; a routed request
-      // that still wants the interval takes the miss path).  Inside one it
-      // becomes relay stock — except a pin: its writer reclaimed the diff
-      // against a floor every peer has applied, so no routed request or
-      // grant delta can ever name it again, and a stale pin would leak
-      // pinned bytes forever.
-      if (in_cs && !cached->pinned) {
-        relay_keep(page, e, n.writer, n.seq);
-      } else {
-        e.diff_cache.erase(n.writer, n.seq);
-      }
+      if (keep) stock.emplace_back(&u, std::move(owned));
+      continue;
     }
-    for (auto& [n, owned] : keep) {
-      if (e.diff_cache.insert(n->writer, n->seq, std::move(owned), cache_budget))
-        relay_keep(page, e, n->writer, n->seq);
+    const PageDiffCache::Entry* cached = e.diff_cache.lookup(u.writer, u.seq);
+    for (const DiffBytes& d : cached->chunks) {
+      cost.patched += diff_apply(mem, kPageSize, d);
+      ++cost.applied;
     }
-    stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
-    clock_.advance_us(rt_.config().diff_apply_per_kb_us *
-                      (static_cast<double>(patched) / 1024.0));
-
-    // Drop what we applied; the service thread may have appended more
-    // notices (a flush) while we were fetching — loop if so.
-    e.unapplied.erase(e.unapplied.begin(),
-                      e.unapplied.begin() + static_cast<std::ptrdiff_t>(want.size()));
-    if (e.unapplied.empty()) {
-      rt_.arena().protect_read(id_, page);
-      e.state = PageState::kReadOnly;
-      e.ever_valid = true;
-      return;
+    // A pin is released even as stock: its writer reclaimed the diff
+    // against a floor every peer has applied, so no routed request or grant
+    // delta can ever name it again, and a stale pin would leak pinned bytes
+    // forever.
+    if (keep && !cached->pinned) {
+      relay_keep(page, e, u.writer, u.seq);
+    } else {
+      e.diff_cache.erase(u.writer, u.seq);
     }
+  }
+  for (auto& [u, owned] : stock) {
+    if (e.diff_cache.insert(u->writer, u->seq, std::move(owned),
+                            rt_.config().diff_cache_bytes_per_page))
+      relay_keep(page, e, u->writer, u->seq);
+  }
+  e.unapplied.erase(first, last);
+  if (e.unapplied.empty()) {
+    rt_.arena().protect_read(id_, page);
+    e.state = PageState::kReadOnly;
+    e.ever_valid = true;
+  } else {
     rt_.arena().protect_none(id_, page);
     e.state = PageState::kInvalid;
   }
+  return true;
+}
+
+void Node::charge_apply(const ApplyCost& cost) {
+  if (cost.applied == 0) return;
+  stats_.diffs_applied.fetch_add(cost.applied, std::memory_order_relaxed);
+  clock_.advance_us(rt_.config().diff_apply_per_kb_us *
+                    (static_cast<double>(cost.patched) / 1024.0));
 }
 
 }  // namespace now::tmk

@@ -73,33 +73,16 @@ void Node::push_land(std::uint32_t key, PageIndex page,
   // partially covered page stays lazy (the fault serves the cached part
   // locally and fetches only the rest) and is judged: one still invalid
   // with unapplied notices at the judge point is a push nobody consumed.
-  for (const UnappliedNotice& n : e.unapplied) {
-    if (e.diff_cache.lookup(n.writer, n.seq) == nullptr) {
-      for (std::uint32_t p : pushers)
-        push_judge_[key].push_back({page, p, /*armed=*/false});
-      return;
-    }
+  // Under the lock keying the applied entries stay as stock.  Under the
+  // barrier keying they are released: update-mode pages are barrier-shared,
+  // not migrating along a lock chain (a routed request that still wants the
+  // interval takes the miss path).
+  if (!apply_covered(page, e, e.unapplied.size(), /*fetched=*/nullptr, retain,
+                     b.cost)) {
+    for (std::uint32_t p : pushers)
+      push_judge_[key].push_back({page, p, /*armed=*/false});
+    return;
   }
-  std::stable_sort(e.unapplied.begin(), e.unapplied.end(), applies_before);
-  rt_.arena().protect_rw(id_, page);
-  std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
-  for (const UnappliedNotice& n : e.unapplied) {
-    const PageDiffCache::Entry* cached = e.diff_cache.lookup(n.writer, n.seq);
-    for (const DiffBytes& d : cached->chunks) {
-      b.patched += diff_apply(mem, kPageSize, d);
-      ++b.applied;
-    }
-    // Under the lock keying the applied entry stays as stock.  Under the
-    // barrier keying it is released: update-mode pages are barrier-shared,
-    // not migrating along a lock chain (a routed request that still wants
-    // the interval takes the miss path).  Pinned entries (barrier-GC
-    // stashes of reclaimed diffs) release either way, same as on the fault
-    // path: their seqs are below the GC floor, so no routed request or
-    // grant delta can ever name them again and a stale pin would leak
-    // pinned bytes forever.
-    if (!retain || cached->pinned) e.diff_cache.erase(n.writer, n.seq);
-  }
-  e.unapplied.clear();
   push_settle(key, page, e, pushers);
 }
 
@@ -107,7 +90,6 @@ void Node::push_settle(std::uint32_t key, PageIndex page, PageEntry& e,
                        const std::vector<std::uint32_t>& pushers) {
   const auto& cfg = rt_.config();
   const PushKind kind = push_kind(key);
-  e.ever_valid = true;
   // Probe cadence: every Nth push applied to the page is left *armed* —
   // contents current but unmapped, so the next access faults once, locally,
   // and proves this node still consumes the pushes.  The pushes in between
@@ -120,22 +102,17 @@ void Node::push_settle(std::uint32_t key, PageIndex page, PageEntry& e,
                                     : cfg.lock_push_reprobe);
   if (++e.pushes_since_probe % every == 0) {
     rt_.arena().protect_none(id_, page);
+    e.state = PageState::kInvalid;
     e.push_armed = kind;
     for (std::uint32_t p : pushers)
       push_judge_[key].push_back({page, p, /*armed=*/true});
   } else {
-    rt_.arena().protect_read(id_, page);
-    e.state = PageState::kReadOnly;
     push_hit(kind);
   }
 }
 
 void Node::push_finish(std::uint32_t key, PushBatch& b) {
-  if (b.applied > 0) {
-    stats_.diffs_applied.fetch_add(b.applied, std::memory_order_relaxed);
-    clock_.advance_us(rt_.config().diff_apply_per_kb_us *
-                      (static_cast<double>(b.patched) / 1024.0));
-  }
+  charge_apply(b.cost);
   send_denies(key, b.deny);
 }
 

@@ -57,13 +57,16 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //    eviction (it would lose the only surviving copy) — and are released
 //    when applied, by the fault or by the GC pass itself once a page's
 //    pinned bytes exceed the budget (which bounds never-read pages);
-//  - multi-page prefetch on fault (budgeted FIFO insert): a fault folds
+//  - multi-page prefetch on fault (budgeted FIFO insert), only where the
+//    window cannot validate: a fault inside a critical section folds
 //    neighboring pages' wanted seqs into its kDiffRequest and parks the
-//    extra chunks here for the neighbor's own fault.  Prefetched entries
-//    are droppable — their writers still hold the diff, so the real fault
-//    can always refetch what eviction lost.  When a barrier-GC floor later
-//    covers a prefetched entry, the validation pass promotes it to a pin
-//    in place rather than refetching;
+//    extra chunks here for the neighbor's own fault, and so does a fault
+//    outside one for a neighbor that gained a notice while the fetch waited
+//    (every other neighbor it folds is applied on arrival and never
+//    cached).  Prefetched entries are droppable — their writers still hold
+//    the diff, so the real fault can always refetch what eviction lost.
+//    When a barrier-GC floor later covers a prefetched entry, the
+//    validation pass promotes it to a pin in place rather than refetching;
 //  - the push engine (budgeted FIFO insert): both push keyings — the
 //    barrier-time kUpdatePush and the kLockGrant push section — park their
 //    chunks here, and the landing applies any page whose wanted intervals

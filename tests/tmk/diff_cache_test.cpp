@@ -198,9 +198,10 @@ TEST(DiffCacheProtocol, SimulatedMetricsUnchangedByCache) {
 
 // With multi-page prefetch enabled the zero-hit expectation flips even with
 // GC off: every node's fault on the shared page cannot prefetch (single
-// page), so spread the writers over several pages — neighbor faults must now
-// be served from prefetched entries, with fewer messages and the same
-// simulated work.
+// page), so spread the writers over several pages — neighbor faults inside a
+// critical section must now be served from prefetched entries, with fewer
+// messages and the same simulated work.  (Outside one the window validates
+// its neighbors on arrival instead of parking them: tmk_prefetch_test.)
 TEST(DiffCacheProtocol, PrefetchMakesTheCacheLoadBearingWithoutGc) {
   auto workload = [](Tmk& tmk) {
     constexpr std::size_t kPages = 8;
@@ -211,10 +212,13 @@ TEST(DiffCacheProtocol, PrefetchMakesTheCacheLoadBearingWithoutGc) {
         for (std::size_t k = 0; k < 8; ++k)
           base[pg * kWordsPerPage + k] = pg * 100 + k;
     tmk.barrier();
-    if (tmk.id() == 1)
+    if (tmk.id() == 1) {
+      tmk.lock_acquire(0);
       for (std::size_t pg = 0; pg < kPages; ++pg)
         for (std::size_t k = 0; k < 8; ++k)
-          ASSERT_EQ(base[pg * kWordsPerPage + k], pg * 100 + k);
+          EXPECT_EQ(base[pg * kWordsPerPage + k], pg * 100 + k);
+      tmk.lock_release(0);
+    }
     tmk.barrier();
   };
   sim::TrafficSnapshot traffic_pf, traffic_off;
@@ -241,11 +245,17 @@ TEST(DiffCacheProtocol, PrefetchMakesTheCacheLoadBearingWithoutGc) {
 // the real fault — the counters prove both the drop and the refetch.  Node 0
 // dirties page B across four intervals (~800 bytes each); a budget of 2000
 // bytes keeps only the last two prefetched entries, so B's fault hits twice
-// and refetches the two evicted intervals in one extra message.
+// and refetches the two evicted intervals in one extra message.  The reads
+// run inside a critical section, where the window parks what it fetches.
 TEST(DiffCacheProtocol, PrefetchedEntriesBeyondBudgetAreDroppedAndRefetched) {
   constexpr std::size_t kDirtyBytes = 800;
   constexpr int kIntervals = 4;
-  DsmRuntime rt(cfg(2, /*cache_bytes=*/2000, /*prefetch=*/4));
+  DsmConfig c = cfg(2, /*cache_bytes=*/2000, /*prefetch=*/4);
+  // A checkpoint pass stages A at its barriers — a fault outside any
+  // critical section, whose window would validate B before the section
+  // below runs: pinned off against the CI TMK_CKPT_EVERY default.
+  c.ckpt_every = 0;
+  DsmRuntime rt(c);
   rt.run_spmd([](Tmk& tmk) {
     gptr<std::uint8_t> a(kPageSize);              // page A: the faulting page
     gptr<std::uint8_t> b(kPageSize + kPageSize);  // page B: its neighbor
@@ -258,9 +268,11 @@ TEST(DiffCacheProtocol, PrefetchedEntriesBeyondBudgetAreDroppedAndRefetched) {
       tmk.barrier();  // each epoch closes one interval with a ~800-byte diff
     }
     if (tmk.id() == 1) {
+      tmk.lock_acquire(0);
       EXPECT_EQ(a[0], 7);  // fault on A prefetches B's four intervals
       for (std::size_t i = 0; i < kDirtyBytes; ++i)
         EXPECT_EQ(b[i], static_cast<std::uint8_t>(100 + (kIntervals - 1) + i));
+      tmk.lock_release(0);
     }
     tmk.barrier();
   });

@@ -291,10 +291,12 @@ TEST(GC, PinInsertedAfterPrefetchEntryEvictsDroppableNeverPin) {
 // Prefetch/GC interaction, protocol level: a prefetch that lands just
 // before the writer's one-barrier-delayed reclaim is still served.  The
 // write notices reach node 1 through a semaphore, so no floor covers them
-// yet, and its fault on page A prefetches neighbor B's diff; the next
-// barrier's validation pass must promote that droppable entry to a pin (not
-// skip it), because one barrier later the writer reclaims the only other
-// copy.  The late read of B can then only be served from the promoted pin.
+// yet, and its fault on page A — inside a critical section, where the
+// window parks instead of validating — prefetches neighbor B's diff; the
+// next barrier's validation pass must promote that droppable entry to a pin
+// (not skip it), because one barrier later the writer reclaims the only
+// other copy.  The late read of B can then only be served from the promoted
+// pin.
 TEST(GC, PrefetchLandingJustBeforeReclaimIsStillServed) {
   DsmConfig c = cfg(2, /*gc=*/true);
   c.prefetch_pages = 4;
@@ -309,8 +311,10 @@ TEST(GC, PrefetchLandingJustBeforeReclaimIsStillServed) {
       tmk.sema_signal(0);
     } else {
       tmk.sema_wait(0);  // records travel; no floor covers them yet
+      tmk.lock_acquire(0);
       for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(a[i], 40 + i);  // fault on A prefetches B (droppable)
+      tmk.lock_release(0);
     }
     tmk.barrier();  // floor covers the writes: validation promotes B's entry
     if (tmk.id() == 1)
