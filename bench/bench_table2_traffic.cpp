@@ -39,11 +39,16 @@ int main(int argc, char** argv) {
   // critical section asks only the page's latest writer, which answers the
   // other writers' intervals from its relay stock (StockHit) or marks them
   // missing (StockMiss, fetched from their writers in a second round); GC
-  // floors prune the stock they cover.
+  // floors prune the stock they cover.  Outside critical sections a writer
+  // folds each run of its intervals adjacent in a page's apply order into
+  // one diff (Merged) and ships that many fewer reply bytes (MergeKB):
+  // QSORT's task queue, whose enqueues stack dense diffs on one page, is
+  // where runs form.
   std::vector<std::string> extra_head{
       "Application",  "GcRec OpenMP",  "GcRec Tmk",  "GcKB OpenMP",
       "GcKB Tmk",     "DCacheHit Tmk", "KB saved Tmk", "Routed Tmk",
-      "StockHit Tmk", "StockMiss Tmk", "RelayPrune Tmk", "RelayKB Tmk"};
+      "StockHit Tmk", "StockMiss Tmk", "RelayPrune Tmk", "RelayKB Tmk",
+      "Merged Tmk",   "MergeKB Tmk"};
   if (prefetch_on) {
     extra_head.push_back("PfBatched Tmk");
     extra_head.push_back("PfHit Tmk");
@@ -107,7 +112,9 @@ int main(int argc, char** argv) {
         Table::fmt(r.tmk.dsm.diff_stock_served),
         Table::fmt(r.tmk.dsm.diff_stock_misses),
         Table::fmt(r.tmk.dsm.relay_chunks_pruned),
-        Table::fmt(static_cast<double>(r.tmk.dsm.relay_bytes_pruned) / 1024.0, 1)};
+        Table::fmt(static_cast<double>(r.tmk.dsm.relay_bytes_pruned) / 1024.0, 1),
+        Table::fmt(r.tmk.dsm.diff_runs_merged),
+        Table::fmt(static_cast<double>(r.tmk.dsm.diff_merge_bytes_saved) / 1024.0, 1)};
     if (prefetch_on) {
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_requests_batched));
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_hits));

@@ -148,10 +148,11 @@ struct DsmConfig {
   // neighbor the request covers whole (every wanted interval from a
   // contacted writer or already cached) and validates it on arrival:
   // applied in lamport order and mapped read-only, so its first read does
-  // not fault.  Inside one — and for a neighbor that gained a notice while
-  // the fetch waited — the chunks are parked in the neighbors' diff caches
-  // through the budgeted FIFO PageDiffCache::insert: droppable, and
-  // transparently refetched by the real fault if evicted.  0 disables
+  // not fault (a neighbor that gained a notice while the fetch waited
+  // applies what the fetch covered and stays invalid).  Inside one the
+  // chunks are parked in the neighbors' diff caches through the budgeted
+  // FIFO PageDiffCache::insert: droppable, and transparently refetched by
+  // the real fault if evicted.  0 disables
   // prefetch.  Default overridable via TMK_PREFETCH_PAGES.
   std::size_t prefetch_pages = detail::env_size("TMK_PREFETCH_PAGES", 4);
 

@@ -1,6 +1,8 @@
 #include "tmk/diff.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
@@ -64,6 +66,25 @@ inline void append_run(DiffBytes& out, const std::uint8_t* current,
   out.insert(out.end(), reinterpret_cast<const std::uint8_t*>(&len16),
              reinterpret_cast<const std::uint8_t*>(&len16) + 2);
   out.insert(out.end(), current + start, current + end);
+}
+
+// Calls fn(offset, bytes, length) for each run of a diff, in wire order,
+// after checking the run lies inside the diff and the page.
+template <typename Fn>
+void for_each_run(const std::uint8_t* diff, std::size_t diff_size,
+                  std::size_t page_size, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos < diff_size) {
+    NOW_CHECK_LE(pos + 4, diff_size) << "corrupt diff header";
+    std::uint16_t off, len;
+    std::memcpy(&off, diff + pos, 2);
+    std::memcpy(&len, diff + pos + 2, 2);
+    pos += 4;
+    NOW_CHECK_LE(pos + len, diff_size) << "corrupt diff body";
+    NOW_CHECK_LE(static_cast<std::size_t>(off) + len, page_size) << "diff outside page";
+    fn(static_cast<std::size_t>(off), diff + pos, static_cast<std::size_t>(len));
+    pos += len;
+  }
 }
 
 }  // namespace
@@ -176,21 +197,45 @@ DiffBytes diff_create_scalar(const std::uint8_t* twin, const std::uint8_t* curre
 
 std::size_t diff_apply(std::uint8_t* page, std::size_t page_size,
                        const std::uint8_t* diff, std::size_t diff_size) {
-  std::size_t pos = 0;
   std::size_t patched = 0;
-  while (pos < diff_size) {
-    NOW_CHECK_LE(pos + 4, diff_size) << "corrupt diff header";
-    std::uint16_t off, len;
-    std::memcpy(&off, diff + pos, 2);
-    std::memcpy(&len, diff + pos + 2, 2);
-    pos += 4;
-    NOW_CHECK_LE(pos + len, diff_size) << "corrupt diff body";
-    NOW_CHECK_LE(static_cast<std::size_t>(off) + len, page_size) << "diff outside page";
-    std::memcpy(page + off, diff + pos, len);
-    pos += len;
-    patched += len;
-  }
+  for_each_run(diff, diff_size, page_size,
+               [&](std::size_t off, const std::uint8_t* bytes, std::size_t len) {
+                 std::memcpy(page + off, bytes, len);
+                 patched += len;
+               });
   return patched;
+}
+
+DiffBytes diff_merge(const std::vector<const DiffBytes*>& stack,
+                     std::size_t page_size) {
+  if (stack.size() == 1) return *stack.front();
+  // Replay the stack onto a scratch image, remembering which ranges it
+  // patched; the union of those ranges, read back from the image, is the
+  // merged diff.  Ranges that overlap or touch share one run.  Only
+  // patched bytes of the image are read, so it is reused uncleared.
+  thread_local std::vector<std::uint8_t> image;
+  if (image.size() < page_size) image.resize(page_size);
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // [start, end)
+  std::size_t total = 0;
+  for (const DiffBytes* d : stack) {
+    total += d->size();
+    for_each_run(d->data(), d->size(), page_size,
+                 [&](std::size_t off, const std::uint8_t* bytes, std::size_t len) {
+                   std::memcpy(image.data() + off, bytes, len);
+                   if (len > 0) ranges.emplace_back(off, off + len);
+                 });
+  }
+  std::sort(ranges.begin(), ranges.end());
+  DiffBytes out;
+  out.reserve(total);
+  for (std::size_t i = 0; i < ranges.size();) {
+    const std::size_t start = ranges[i].first;
+    std::size_t end = ranges[i].second;
+    for (++i; i < ranges.size() && ranges[i].first <= end; ++i)
+      end = std::max(end, ranges[i].second);
+    append_run(out, image.data(), start, end);
+  }
+  return out;
 }
 
 std::size_t diff_patched_bytes(const std::uint8_t* diff, std::size_t diff_size) {

@@ -40,6 +40,16 @@ std::size_t diff_append(DiffBytes& out, const std::uint8_t* twin,
                         const std::uint8_t* current, std::size_t page_size,
                         std::size_t merge_gap = 8);
 
+// Folds a stack of diffs of one page, oldest first, into one: every byte
+// any of them patches, at the value the newest one gives it, and nothing
+// else.  Applying the result equals applying the stack in order, and it is
+// never larger than the stack's total size (overlapping runs share one
+// header and one copy of their bytes).  A one-diff stack comes back
+// unchanged.  Only sound for consecutive diffs in apply order: folding
+// across another writer's diff would move the older bytes past it.
+DiffBytes diff_merge(const std::vector<const DiffBytes*>& stack,
+                     std::size_t page_size);
+
 // Applies a diff in place.  Returns the number of bytes patched.  The
 // pointer/length overload patches straight out of a message payload without
 // copying the chunk into its own vector first.

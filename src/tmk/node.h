@@ -160,8 +160,9 @@ class Node {
   // invalidates local copies (acquire side of lazy invalidate RC).
   void merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs);
   // Fetches and applies all unapplied diffs for a page (fault path).
-  // Outside a critical section its prefetch window validates each
-  // neighbor the request covers whole (see node_fault.cpp).
+  // Outside a critical section it asks for merged diff runs, and its
+  // prefetch window validates each neighbor the request covers whole (see
+  // node_fault.cpp).
   void fetch_and_apply(PageIndex page, PageEntry& entry);
   // Fetched diff chunks: views into reply payloads keyed (page, author, seq)
   // (fetch_diffs).
@@ -419,20 +420,35 @@ class Node {
   // uses the routed layout (every entry names its author); entries the
   // writer no longer holds come back marked missing and are appended to
   // *misses (required then), for the caller to fetch from their authors.
+  //
+  // A seq marked kDiffSeqFolds (fault path, outside critical sections)
+  // folds into the *run* of the seq before it: the writer's intervals
+  // adjacent in the page's applies_before order.  The writer folds a run
+  // into one diff (diff_merge) filed under its last seq; the others come
+  // back with no chunks, so applying the run in order applies the
+  // composite once, in its place.  The reply echoes plain seqs.
   struct DiffWant {
     PageIndex page = 0;
     std::uint32_t writer = 0;
     std::vector<std::uint32_t> seqs;
     std::vector<std::uint32_t> authors;  // empty: every seq is writer's own
   };
-  // kDiffRequest flag bits, and the routed reply's marker (in the chunk
-  // count's place) for an interval the writer no longer holds.
+  // kDiffRequest flag bits, the run marker (the high bit of a wanted seq),
+  // and the routed reply's marker (in the chunk count's place) for an
+  // interval the writer no longer holds.
   static constexpr std::uint8_t kDiffReqForGc = 1;
   static constexpr std::uint8_t kDiffReqRouted = 2;
+  static constexpr std::uint32_t kDiffSeqFolds = 0x80000000u;
   static constexpr std::uint32_t kDiffStockMiss = 0xffffffffu;
   FetchedDiffs fetch_diffs(
       const std::vector<DiffWant>& wants, std::vector<sim::Message>& replies,
       bool for_gc = false, std::vector<DiffKey>* misses = nullptr);
+  // The fault path's wants outside a critical section, for an invalid
+  // page's notices not held in its diff cache: one want per writer, its
+  // seqs in apply order with each run's later seqs marked kDiffSeqFolds
+  // (node_fault.cpp).
+  void append_run_wants(PageIndex page, const PageEntry& e,
+                        std::vector<DiffWant>& wants);
 
   enum class Cache { kNodeLog, kMgrLog };
   // Delta of interval records the peer's node/manager log is missing,

@@ -158,10 +158,15 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       }
       wants.push_back(std::move(dw));
       by_writer = {{latest.writer, {}}};  // the one writer contacted
-    } else {
+    } else if (in_cs) {
       wants.reserve(by_writer.size());
       for (auto& [writer, seqs] : by_writer)
         wants.push_back({page, writer, std::move(seqs), {}});
+    } else {
+      // Outside one, each writer folds every run of its intervals into one
+      // diff; a critical section's fetches feed the relay stock, which is
+      // kept per interval.
+      append_run_wants(page, e, wants);
     }
 
     // Multi-page prefetch: fold neighboring invalid pages' wanted seqs into
@@ -175,15 +180,15 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // Outside a critical section the window validates what it fetches
     // (TreadMarks' Tmk_validate): it folds a neighbor only if the request
     // covers it whole — every wanted interval authored by a contacted
-    // writer or already cached — and applies it on arrival, in lamport
-    // order, exactly as its own fault would, so its first read does not
-    // trap and nothing fetched has to survive in the cache.  A neighbor
-    // that would still need another writer is skipped, for its own fault to
-    // fetch whole.  Inside a critical section the window and the batch
-    // below park their chunks in the neighbors' caches instead, as relay
-    // stock for the lock's next holder; a page validated there would skip
-    // the lock's touch history (lock_push_note_touch) its batch is built
-    // from.
+    // writer or already cached — asks for its runs folded as the faulting
+    // page's are, and applies it on arrival, in lamport order, exactly as
+    // its own fault would, so its first read does not trap and nothing
+    // fetched has to survive in the cache.  A neighbor that would still
+    // need another writer is skipped, for its own fault to fetch whole.
+    // Inside a critical section the window and the batch below park their
+    // chunks in the neighbors' caches instead, as relay stock for the
+    // lock's next holder; a page validated there would skip the lock's
+    // touch history (lock_push_note_touch) its batch is built from.
     //
     // Critical-section batch: the first request a critical section sends
     // also carries the lock's other pages the grant invalidated (cs_batch_)
@@ -197,13 +202,14 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     struct PrefetchPage {
       PageIndex page = 0;
       bool batch = false;  // a routed batch entry may miss
-      // Validate on arrival if the page still wants exactly `nwant` notices
-      // (none gained while the fetch waited); 0: park.
+      // Outside a critical section: the notices the request covers (the
+      // page's whole list when it was assembled), applied on arrival.
+      // 0 inside one: park.
       std::size_t validate_nwant = 0;
       std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;  // (writer, seq)
     };
     std::vector<PrefetchPage> prefetch;
-    const bool batching = !cs_batch_.empty() && by_writer.size() == 1;
+    const bool batching = in_cs && !cs_batch_.empty() && by_writer.size() == 1;
     if (!wants.empty()) {
       const std::size_t num_pages = rt_.config().num_pages();
       const PageIndex last = static_cast<PageIndex>(
@@ -239,9 +245,11 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
           pp.entries.emplace_back(n.writer, n.seq);
         }
         if (pp.entries.empty() || (!in_cs && !whole)) continue;
-        if (!in_cs) pp.validate_nwant = qe.unapplied.size();
-        if (pp.batch && (q_by_writer.size() > 1 ||
-                         q_by_writer.begin()->first != contacted)) {
+        if (!in_cs) {
+          pp.validate_nwant = qe.unapplied.size();
+          append_run_wants(q, qe, wants);
+        } else if (pp.batch && (q_by_writer.size() > 1 ||
+                                q_by_writer.begin()->first != contacted)) {
           DiffWant dw{q, contacted, {}, {}};
           for (const auto& [writer, seq] : pp.entries) {
             dw.seqs.push_back(seq);
@@ -299,21 +307,30 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     NOW_CHECK(apply_covered(page, e, nwant, &got, /*keep=*/in_cs, cost))
         << "page " << page << " has an interval neither fetched nor cached";
 
-    // The neighbors: validate each one the fetch covered whole; park the
-    // rest in their caches for their own faults.  A neighbor that gained a
-    // notice while the fetch waited is parked too (its new interval was
-    // not fetched).  Parking is a budgeted FIFO insert: droppable (the
-    // writer still holds the diff — by the GC causality argument nothing
-    // wanted mid-epoch is reclaimed before the next barrier — so the real
-    // fault refetches whatever eviction lost), and a later barrier-GC floor
-    // promotes surviving entries to pins before their writers reclaim.
+    // The neighbors.  Outside a critical section the fetch covered each
+    // one whole: apply it.  One that gained a notice while the fetch waited
+    // applies what the fetch covered and stays invalid, for its own fault
+    // to fetch the rest — so nothing fetched outside a critical section is
+    // ever parked, and a folded run (keyed by its last interval, holding
+    // all of them) never reaches a cache.  Inside one, park each neighbor's
+    // chunks in its cache for its own fault: a budgeted FIFO insert,
+    // droppable (the writer still holds the diff — by the GC causality
+    // argument nothing wanted mid-epoch is reclaimed before the next
+    // barrier — so the real fault refetches whatever eviction lost), and a
+    // later barrier-GC floor promotes surviving entries to pins before
+    // their writers reclaim.
     for (const PrefetchPage& pp : prefetch) {
       PageEntry& qe = pages_[pp.page];
-      if (pp.validate_nwant != 0 && qe.unapplied.size() == pp.validate_nwant &&
-          apply_covered(pp.page, qe, pp.validate_nwant, &got, /*keep=*/false,
-                        cost)) {
-        hear_read(pp.page, qe);  // as the page's own read fault would
-        stats_.prefetch_pages_validated.fetch_add(1, std::memory_order_relaxed);
+      if (pp.validate_nwant != 0) {
+        NOW_CHECK(apply_covered(pp.page, qe, pp.validate_nwant, &got,
+                                /*keep=*/false, cost))
+            << "prefetched page " << pp.page << " not covered by its fetch";
+        if (qe.unapplied.empty()) {
+          hear_read(pp.page, qe);  // as the page's own read fault would
+          stats_.prefetch_pages_validated.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          stats_.prefetch_pages_partial.fetch_add(1, std::memory_order_relaxed);
+        }
         continue;
       }
       bool filled = false;
@@ -335,6 +352,29 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     }
     charge_apply(cost);
   }
+}
+
+void Node::append_run_wants(PageIndex page, const PageEntry& e,
+                            std::vector<DiffWant>& wants) {
+  // Walk the notices in the order apply_covered will apply them.  A run
+  // ends at any notice of another writer and at any cached one: folding
+  // across an interval that happens-before the run's last one would let
+  // the composite restore bytes that interval overwrote.
+  std::vector<UnappliedNotice> order(e.unapplied);
+  std::stable_sort(order.begin(), order.end(), applies_before);
+  std::map<std::uint32_t, std::vector<std::uint32_t>> by_writer;
+  const UnappliedNotice* prev = nullptr;  // the notice before, if fetched
+  for (const UnappliedNotice& n : order) {
+    if (e.diff_cache.find(n.writer, n.seq) != nullptr) {
+      prev = nullptr;
+      continue;
+    }
+    const bool folds = prev != nullptr && prev->writer == n.writer;
+    by_writer[n.writer].push_back(n.seq | (folds ? kDiffSeqFolds : 0));
+    prev = &n;
+  }
+  for (auto& [writer, seqs] : by_writer)
+    wants.push_back({page, writer, std::move(seqs), {}});
 }
 
 void Node::hear_read(PageIndex page, PageEntry& e) {

@@ -123,7 +123,8 @@ void Node::on_diff_request(sim::Message&& m) {
   // prefetch window and (at barriers) every page the requester's GC
   // validation pass wants from this writer.  A routed request (a fault
   // inside the requester's critical section) also names other writers'
-  // intervals, served from this node's relay stock for the page.
+  // intervals, served from this node's relay stock for the page.  A fault
+  // outside one marks runs of intervals to fold into one diff.
   ByteReader r(m.payload);
   const std::uint32_t epoch_tag = r.u32();
   const std::uint8_t flags = r.u8();
@@ -133,18 +134,25 @@ void Node::on_diff_request(sim::Message&& m) {
   struct Entry {
     std::uint32_t author = 0;
     std::uint32_t seq = 0;
-    // Where the chunks come from: the diff store (own intervals) or the
-    // page's relay stock (nullptr: a miss).
+    bool folds = false;  // folds into the run of the entry before it
+    // Where the chunks come from: the diff store (own intervals), the
+    // page's relay stock (nullptr: a miss) or `composite`.
     const std::vector<DiffBytes>* chunks = nullptr;
+    std::vector<DiffBytes> composite;  // the folded run this entry ends
   };
   std::vector<std::pair<PageIndex, std::vector<Entry>>> pages;
   pages.reserve(npages);
   for (std::uint32_t p = 0; p < npages; ++p) {
     const PageIndex page = r.u32();
     std::vector<Entry> entries(r.u32());
-    for (Entry& en : entries) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      Entry& en = entries[i];
       en.author = routed ? r.u32() : id_;
       en.seq = r.u32();
+      en.folds = (en.seq & kDiffSeqFolds) != 0;
+      en.seq &= ~kDiffSeqFolds;
+      NOW_CHECK(!en.folds || (i > 0 && !routed && !for_gc))
+          << "node " << id_ << ": malformed run on page " << page;
     }
     pages.emplace_back(page, std::move(entries));
   }
@@ -179,6 +187,33 @@ void Node::on_diff_request(sim::Message&& m) {
     }
   }
 
+  // Folds entries [first, last) of a run: the composite rides under the
+  // last seq, the others carry no chunks.  Folding reads every input byte
+  // once, charged like applying the stack.  Returns the reply bytes saved.
+  static const std::vector<DiffBytes> kNoChunks;
+  auto fold_run = [&](Entry* first, Entry* last) -> std::size_t {
+    std::vector<const DiffBytes*> stack;
+    std::size_t stack_bytes = 0;
+    for (Entry* en = first; en != last; ++en) {
+      for (const DiffBytes& d : *en->chunks) {
+        stack.push_back(&d);
+        stack_bytes += d.size();
+      }
+      en->chunks = &kNoChunks;
+    }
+    Entry& end = *(last - 1);
+    end.composite.push_back(diff_merge(stack, kPageSize));
+    end.chunks = &end.composite;
+    // Each chunk rides with a 4-byte length prefix.
+    const std::size_t saved = 4 * stack.size() + stack_bytes -
+                              (4 + end.composite.front().size());
+    clock_.advance_us(rt_.config().diff_apply_per_kb_us *
+                      (static_cast<double>(stack_bytes) / 1024.0));
+    stats_.diff_runs_merged.fetch_add(1, std::memory_order_relaxed);
+    stats_.diff_merge_bytes_saved.fetch_add(saved, std::memory_order_relaxed);
+    return saved;
+  };
+
   ByteWriter w;
   std::size_t reply_size = 4;  // page count
   for (auto& [page, entries] : pages) {
@@ -194,6 +229,12 @@ void Node::on_diff_request(sim::Message&& m) {
       }
       if (en.chunks != nullptr)
         for (const DiffBytes& d : *en.chunks) reply_size += 4 + d.size();
+    }
+    for (std::size_t i = 0; i < entries.size();) {
+      std::size_t j = i + 1;
+      while (j < entries.size() && entries[j].folds) ++j;
+      if (j - i >= 2) reply_size -= fold_run(entries.data() + i, entries.data() + j);
+      i = j;
     }
   }
   // One exact reservation for the whole reply, then straight-line appends.

@@ -60,10 +60,12 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //  - multi-page prefetch on fault (budgeted FIFO insert), only where the
 //    window cannot validate: a fault inside a critical section folds
 //    neighboring pages' wanted seqs into its kDiffRequest and parks the
-//    extra chunks here for the neighbor's own fault, and so does a fault
-//    outside one for a neighbor that gained a notice while the fetch waited
-//    (every other neighbor it folds is applied on arrival and never
-//    cached).  Prefetched entries are droppable — their writers still hold
+//    extra chunks here for the neighbor's own fault.  Outside one nothing
+//    fetched is cached (every neighbor folded there is applied on arrival,
+//    wholly or up to a notice gained during the fetch), which is what lets
+//    a fault there fetch merged diff runs: a run's composite is filed
+//    under its last interval and must never be cached as that interval's
+//    diff.  Prefetched entries are droppable — their writers still hold
 //    the diff, so the real fault can always refetch what eviction lost.
 //    When a barrier-GC floor later covers a prefetched entry, the
 //    validation pass promotes it to a pin in place rather than refetching;

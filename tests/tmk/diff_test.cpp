@@ -218,6 +218,87 @@ TEST(DiffAppend, ReusedBufferNeedsNoReallocation) {
   EXPECT_EQ(buf.data(), data);
 }
 
+// --------------------------------------------------------------------------
+// diff_merge: folding one writer's consecutive diffs of a page.
+// --------------------------------------------------------------------------
+
+std::vector<const DiffBytes*> stack_of(const std::vector<DiffBytes>& diffs) {
+  std::vector<const DiffBytes*> stack;
+  for (const DiffBytes& d : diffs) stack.push_back(&d);
+  return stack;
+}
+
+// Random stacks: each diff is taken against the page as the previous ones
+// left it (consecutive intervals of one writer), with dense and sparse
+// writes that often overlap earlier ones, some intervals writing nothing,
+// and a random merge gap.  Applied to an unrelated random page, the merged
+// diff must leave exactly the bytes the stack leaves, so it patches no
+// byte the stack did not.
+class DiffMergeProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DiffMergeProperty, MergedDiffEqualsTheStackAppliedInOrder) {
+  Rng rng(0x51ed270bu * static_cast<std::uint64_t>(GetParam() + 1));
+  Page cur = random_page(rng);
+  std::vector<DiffBytes> diffs;
+  const std::size_t depth = 1 + rng.next_below(8);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < depth; ++i) {
+    const Page twin = cur;
+    const std::size_t writes = rng.next_below(4) == 0 ? 0 : 1 + rng.next_below(40);
+    const std::size_t max_len = rng.next_below(2) == 0 ? 16 : 1024;
+    for (std::size_t w = 0; w < writes; ++w) {
+      const std::size_t off = rng.next_below(kPageSize);
+      const std::size_t len =
+          1 + rng.next_below(std::min<std::size_t>(max_len, kPageSize - off));
+      for (std::size_t k = 0; k < len; ++k)
+        cur[off + k] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const std::size_t gap = std::size_t{1} << rng.next_below(6);  // 1..32
+    diffs.push_back(diff_create(twin.data(), cur.data(), kPageSize, gap));
+    total += diffs.back().size();
+  }
+  const DiffBytes merged = diff_merge(stack_of(diffs), kPageSize);
+
+  const Page target = random_page(rng);
+  Page via_stack = target, via_merge = target;
+  for (const DiffBytes& d : diffs) diff_apply(via_stack.data(), kPageSize, d);
+  diff_apply(via_merge.data(), kPageSize, merged);
+  EXPECT_EQ(via_merge, via_stack) << "seed " << GetParam();
+  EXPECT_LE(merged.size(), total) << "seed " << GetParam();
+  if (depth == 1) {
+    EXPECT_EQ(merged, diffs.front());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DiffMergeProperty, ::testing::Range(0, 48));
+
+TEST(DiffMerge, OneDiffStackAndEmptyDiffComeBackUnchanged) {
+  Rng rng(5);
+  const Page twin = random_page(rng);
+  Page cur = twin;
+  cur[10] = static_cast<std::uint8_t>(twin[10] + 1);
+  cur[11] = static_cast<std::uint8_t>(twin[11] + 1);
+  cur[500] = static_cast<std::uint8_t>(twin[500] + 1);
+  const DiffBytes d = diff_create(twin.data(), cur.data(), kPageSize);
+  EXPECT_EQ(diff_merge({&d}, kPageSize), d);
+  const DiffBytes empty;
+  EXPECT_TRUE(diff_merge({&empty}, kPageSize).empty());
+  EXPECT_TRUE(diff_merge({&empty, &empty}, kPageSize).empty());
+  EXPECT_EQ(diff_merge({&empty, &d, &empty}, kPageSize), d);
+}
+
+TEST(DiffMerge, OverlappingRunsShareOneHeader) {
+  Page twin = zero_page(), a = zero_page();
+  for (int i = 0; i < 64; ++i) a[i] = 1;
+  Page b = a;
+  for (int i = 32; i < 96; ++i) b[i] = 2;
+  const DiffBytes d1 = diff_create(twin.data(), a.data(), kPageSize);
+  const DiffBytes d2 = diff_create(a.data(), b.data(), kPageSize);
+  const DiffBytes merged = diff_merge({&d1, &d2}, kPageSize);
+  EXPECT_EQ(merged.size(), 4u + 96u);  // one run over [0, 96)
+  EXPECT_EQ(merged, diff_create(twin.data(), b.data(), kPageSize));
+}
+
 TEST(DiffDeathTest, CorruptDiffAborts) {
   Page p = zero_page();
   DiffBytes bogus = {0x01, 0x02, 0x03};  // truncated header

@@ -149,7 +149,8 @@ void increment_counters(Tmk& tmk, gptr<std::uint64_t> counters,
 // captured on node 0 after the last barrier.
 std::vector<std::uint64_t> run_fuzz(const FuzzConfig& fc, std::uint64_t seed,
                                     std::size_t epochs,
-                                    sim::TrafficSnapshot* traffic = nullptr) {
+                                    sim::TrafficSnapshot* traffic = nullptr,
+                                    DsmStatsSnapshot* stats = nullptr) {
   DsmConfig c;
   c.num_nodes = kNodes;
   c.heap_bytes = 4 << 20;
@@ -266,6 +267,7 @@ std::vector<std::uint64_t> run_fuzz(const FuzzConfig& fc, std::uint64_t seed,
           << "seed=" << seed << " ceiling=" << fc.ceiling;
   }
   if (traffic != nullptr) *traffic = rt.traffic();
+  if (stats != nullptr) *stats = rt.total_stats();
   return final_words;
 }
 
@@ -349,6 +351,11 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   matrix.push_back({0, false, 16 * 1024, false, 0, 0, false, 4096,
                     10000, 5000, 10000, 200'000});
 
+  // Runs folded by the gc-off legs, over the whole seed set: without the
+  // barrier's validation pass a page's notices pile up across epochs, so a
+  // fault outside a critical section meets runs of one writer's intervals
+  // to fold.
+  std::uint64_t runs_merged_gc_off = 0;
   for (std::size_t s = 0; s < seeds; ++s) {
     const std::uint64_t seed = seed_base + s;
 
@@ -384,10 +391,15 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
                    << " jitter=" << fc.jitter_ns
                    << " (replay: NOW_FUZZ_SEED_BASE=" << seed
                    << " NOW_FUZZ_SEEDS=1)");
-      const auto got = run_fuzz(fc, seed, epochs);
+      DsmStatsSnapshot stats;
+      const auto got = run_fuzz(fc, seed, epochs, nullptr, &stats);
       ASSERT_EQ(got, model);  // byte-for-byte: every word, every counter
+      if (!fc.gc) runs_merged_gc_off += stats.diff_runs_merged;
     }
   }
+  EXPECT_GT(runs_merged_gc_off, 0u)
+      << "no gc-off leg folded a run: the matrix no longer exercises merged "
+         "diff runs";
 }
 
 // The retransmission protocol's price tag: at the issue's 1% drop rate the

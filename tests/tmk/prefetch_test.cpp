@@ -14,7 +14,10 @@
 //    folded at all;
 //  - a validated neighbor is current under lazy release consistency and is
 //    invalidated again by the next notice, and a neighbor that gains a
-//    notice while the fetch waits stays invalid.
+//    notice while the fetch waits stays invalid;
+//  - merged runs: outside a critical section a writer folds a run of its
+//    intervals adjacent in apply order into one diff, never across another
+//    writer's interval, and inside one every interval ships on its own.
 // (Parking, budget eviction and refetch inside a critical section live in
 // tmk_diff_cache_test; the prefetch/GC reclaim interplay in tmk_gc_test;
 // cross-config byte identity in tmk_fuzz_consistency_test.)
@@ -235,8 +238,8 @@ TEST(Prefetch, ValidatedNeighborIsCurrentAndInvalidatedAgain) {
 
 // A neighbor that gains a notice while the fetch waits (here: a flush from
 // the writer, merged by the reader's service thread) must not be validated
-// with the notice's interval missing; it stays invalid, parks what arrived,
-// and its own fault applies everything.  Node 0 rewrites word `r + 1` of
+// with the notice's interval missing; it applies what the fetch covered,
+// stays invalid, and its own fault applies the rest.  Node 0 rewrites word `r + 1` of
 // every page and flushes, round after round, while node 1 sweeps the pages
 // reading word 0 (written once, before the first barrier) until it sees
 // node 0's last round; the service jitter widens the window in which a
@@ -280,10 +283,95 @@ TEST(Prefetch, NeighborGainingANoticeDuringTheFetchStaysInvalid) {
   });
   const auto s = rt.total_stats();
   EXPECT_GT(s.prefetch_pages_validated, 0u);
-  // Outside a critical section only a neighbor that gained a notice while
-  // its fetch waited is parked rather than validated (about 100 of 150
-  // folds in this loop, so the path is exercised on every run).
-  EXPECT_GT(s.prefetch_pages_filled, 0u);
+  // A neighbor that gained a notice while its fetch waited is applied only
+  // partly (most folds in this loop, so the path is exercised on every
+  // run); outside a critical section nothing fetched is parked.
+  EXPECT_GT(s.prefetch_pages_partial, 0u);
+  EXPECT_EQ(s.prefetch_pages_filled, 0u);
+}
+
+// Node 0 rewrites the same kilobyte of one page in kIntervals intervals
+// (a private lock's release closes each one); after the barrier node 1
+// reads the page, outside or inside a critical section.
+struct RunOutcome {
+  DsmStatsSnapshot stats;
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t seen = 0;
+};
+constexpr std::size_t kIntervals = 8;
+constexpr std::size_t kRunWords = 1024 / sizeof(std::uint64_t);
+
+RunOutcome run_interval_stack(bool read_in_cs) {
+  RunOutcome out;
+  DsmRuntime rt(pinned_cfg(2, /*prefetch=*/0));
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> page(kPageSize);
+    if (tmk.id() == 0) {
+      for (std::size_t r = 0; r < kIntervals; ++r) {
+        tmk.lock_acquire(7);
+        for (std::size_t k = 0; k < kRunWords; ++k) page[k] = 1000 * (r + 1) + k;
+        tmk.lock_release(7);
+      }
+    }
+    tmk.barrier();
+    if (tmk.id() == 1) {
+      if (read_in_cs) tmk.lock_acquire(3);
+      for (std::size_t k = 0; k < kRunWords; ++k) out.seen += page[k];
+      if (read_in_cs) tmk.lock_release(3);
+    }
+    tmk.barrier();
+  });
+  out.stats = rt.total_stats();
+  out.payload_bytes = rt.traffic().payload_bytes;
+  return out;
+}
+
+TEST(Prefetch, ContiguousRunIsFetchedMerged) {
+  const RunOutcome merged = run_interval_stack(/*read_in_cs=*/false);
+  const RunOutcome split = run_interval_stack(/*read_in_cs=*/true);
+  std::uint64_t want = 0;
+  for (std::size_t k = 0; k < kRunWords; ++k) want += 1000 * kIntervals + k;
+  EXPECT_EQ(merged.seen, want);
+  EXPECT_EQ(split.seen, want);
+
+  // One run of kIntervals dense, fully overlapping diffs folds into one
+  // diff the size of each: (kIntervals - 1) of them never cross the wire.
+  EXPECT_EQ(merged.stats.diff_runs_merged, 1u);
+  EXPECT_GE(merged.stats.diff_merge_bytes_saved, (kIntervals - 1) * 1024);
+  EXPECT_EQ(merged.stats.diffs_applied, 1u);
+  // Inside a critical section every interval ships on its own.
+  EXPECT_EQ(split.stats.diff_runs_merged, 0u);
+  EXPECT_EQ(split.stats.diffs_applied, kIntervals);
+  EXPECT_LT(merged.payload_bytes + (kIntervals - 2) * 1024, split.payload_bytes);
+}
+
+// A1 / B2 / A3 A4: node 0 writes word x (A1), node 1 overwrites it (B2),
+// then node 0 writes words y and z in two intervals (A3, A4).  A reader
+// that learns all four at once must fold A3 and A4 only: folding A1 into
+// that run would replay A1's x after B2's.
+TEST(Prefetch, RunIsNotFoldedAcrossAnotherWritersInterval) {
+  DsmRuntime rt(pinned_cfg(3, /*prefetch=*/0));
+  rt.run_spmd([](Tmk& tmk) {
+    gptr<std::uint64_t> page(kPageSize);
+    if (tmk.id() == 0) page[0] = 1;  // A1: x
+    tmk.barrier();
+    if (tmk.id() == 1) page[0] = 2;  // B2: x again
+    tmk.barrier();
+    if (tmk.id() == 0) {
+      tmk.lock_acquire(7);
+      page[100] = 3;  // A3: y
+      tmk.lock_release(7);
+      page[200] = 4;  // A4: z
+    }
+    tmk.barrier();
+    if (tmk.id() == 2) {
+      EXPECT_EQ(page[0], 2u) << "A1 was folded past B2";
+      EXPECT_EQ(page[100], 3u);
+      EXPECT_EQ(page[200], 4u);
+    }
+    tmk.barrier();
+  });
+  EXPECT_EQ(rt.total_stats().diff_runs_merged, 1u);  // A3 + A4 only
 }
 
 }  // namespace
