@@ -5,16 +5,78 @@
 // messages and data than MPI.  Separation of synchronization and data
 // transfer, the use of an invalidate protocol, and false sharing contribute
 // to this extra communication."
+//
+// `--json` prints each app's messages and wire MB per version, plus TSP's
+// DSM runs with the prefetch window off, for check_trajectory.py to gate
+// against bench/baselines/table2_traffic.json: inside a critical section
+// only the lock's batch prefetches, so the window must not cost TSP's lock
+// chain messages.  It clears TMK_* first, so the gate measures the default
+// configuration whatever the CI leg's environment.
+#include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <iterator>
 
 #include "bench_common.h"
 
+namespace {
+
+using namespace now;
+using namespace now::bench;
+
+constexpr std::uint32_t kNodes = 8;
+
+void print_traffic(const char* version, const apps::AppResult& r) {
+  std::printf("\"%s\": {\"messages\": %llu, \"wire_mb\": %.4f}", version,
+              static_cast<unsigned long long>(r.traffic.messages),
+              r.traffic.wire_mbytes());
+}
+
+int print_json(const Workloads& w) {
+  struct Row {
+    const char* name;
+    VersionedResults r;
+  };
+  const Row rows[] = {{"Sweep3D", run_all(w.sweep, kNodes)},
+                      {"3D-FFT", run_all(w.fft, kNodes)},
+                      {"Water", run_all(w.water, kNodes)},
+                      {"TSP", run_all(w.tsp, kNodes)},
+                      {"QSORT", run_all(w.qs, kNodes)}};
+  tmk::DsmConfig no_window = dsm_cfg(kNodes);
+  no_window.prefetch_pages = 0;
+  const apps::AppResult tsp_omp_no_window = run_omp(w.tsp, no_window);
+  const apps::AppResult tsp_tmk_no_window = run_tmk(w.tsp, no_window);
+
+  std::printf("{\n  \"table2_traffic\": {\n    \"nodes\": %u,\n"
+              "    \"prefetch_pages\": %zu,\n    \"apps\": {",
+              kNodes, dsm_cfg(kNodes).prefetch_window());
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    std::printf("%s\n      \"%s\": {", i == 0 ? "" : ",", rows[i].name);
+    print_traffic("omp", rows[i].r.omp);
+    std::printf(", ");
+    print_traffic("tmk", rows[i].r.tmk);
+    std::printf(", ");
+    print_traffic("mpi", rows[i].r.mpi);
+    std::printf("}");
+  }
+  std::printf("\n    },\n    \"window0\": {\"TSP\": {");
+  print_traffic("omp", tsp_omp_no_window);
+  std::printf(", ");
+  print_traffic("tmk", tsp_tmk_no_window);
+  std::printf("}}\n  }\n}\n");
+  return 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace now;
-  using namespace now::bench;
-  const int scale = scale_from_args(argc, argv);
-  const Workloads w = Workloads::standard(scale);
-  constexpr std::uint32_t kNodes = 8;
+  const Workloads w = Workloads::standard(scale_from_args(argc, argv));
+  for (int i = 1; i < argc; ++i) {
+    if (!std::strcmp(argv[i], "--json")) {
+      clear_tmk_env();  // before any DsmConfig is built
+      return print_json(w);
+    }
+  }
 
   std::cout << "== Table 2: data (MB) and messages on " << kNodes
             << " simulated workstations ==\n";

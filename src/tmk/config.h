@@ -139,21 +139,20 @@ struct DsmConfig {
   // a stale promotion push uselessly for longer.  Must be >= 1.
   std::uint32_t update_reprobe_epochs = 4;
 
-  // Multi-page prefetch on fault: when a fault sends a kDiffRequest, up to
-  // this many neighboring invalid pages (the window [page+1, page+N]) with
-  // write notices from the writers already being contacted have their wanted
-  // interval seqs folded into the same request, so a strided traversal
-  // (Sweep3D planes, FFT transposes) pays one message per window instead of
-  // one per page.  Outside a critical section the window folds only a
-  // neighbor the request covers whole (every wanted interval from a
+  // Multi-page prefetch on fault: when a fault outside a critical section
+  // sends a kDiffRequest, up to this many neighboring invalid pages (the
+  // window [page+1, page+N]) have their wanted interval seqs folded into the
+  // same request, so a strided traversal (Sweep3D planes, FFT transposes)
+  // pays one message per window instead of one per page.  The window folds
+  // only a neighbor the request covers whole (every wanted interval from a
   // contacted writer or already cached) and validates it on arrival:
   // applied in lamport order and mapped read-only, so its first read does
   // not fault (a neighbor that gained a notice while the fetch waited
-  // applies what the fetch covered and stays invalid).  Inside one the
-  // chunks are parked in the neighbors' diff caches through the budgeted
-  // FIFO PageDiffCache::insert: droppable, and transparently refetched by
-  // the real fault if evicted.  0 disables
-  // prefetch.  Default overridable via TMK_PREFETCH_PAGES.
+  // applies what the fetch covered and stays invalid).  Inside a critical
+  // section the window folds nothing — only the lock's batch prefetches
+  // there (Node::lock_batch_plan) — so no parked neighbor evicts the relay
+  // stock.  0 disables the window.  Default overridable via
+  // TMK_PREFETCH_PAGES.
   std::size_t prefetch_pages = detail::env_size("TMK_PREFETCH_PAGES", 4);
 
   // Per-page byte budget for the requester-side diff cache (already-fetched

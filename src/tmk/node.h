@@ -358,8 +358,8 @@ class Node {
   // Grant side of the critical-section batch: the pages other nodes'
   // records in the grant's delta name that this node touched in an earlier
   // critical section of the lock join cs_batch_, for the section's first
-  // diff request to fold in whichever of them are still invalid (those
-  // inside that fault's prefetch window follow the window's rule).
+  // diff request to fold in whichever of them are still invalid — the only
+  // prefetch inside a critical section.
   void lock_batch_plan(std::uint32_t lock_id,
                        const std::vector<IntervalRecordPtr>& delta);
   // Granter side: appends the push section to a kLockGrant payload — per

@@ -104,7 +104,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     const std::size_t nwant = e.unapplied.size();
     std::vector<UnappliedNotice> need;  // not already held in the diff cache
     std::uint64_t cache_hits = 0, cache_bytes = 0, pf_hits = 0;
-    // Chunks already held locally — parked by a neighbor fault's prefetch,
+    // Chunks already held locally — parked by a critical-section batch,
     // pinned by the barrier-GC validation pass (whose writers may have
     // reclaimed them since), or kept from an earlier fault — need no round
     // trip at all; only the compute thread mutates the cache, so the
@@ -169,39 +169,37 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       append_run_wants(page, e, wants);
     }
 
-    // Multi-page prefetch: fold neighboring invalid pages' wanted seqs into
-    // the writer requests this fault already pays for.  Only writers already
-    // being contacted are considered (no extra messages, ever), and only
-    // entries not yet cached.  The collected (writer, seq) list stays valid
-    // across the fetch: the service thread can only *append* notices, and
-    // this compute thread is the only one that applies them or touches the
-    // cache.
+    // Multi-page prefetch: fold other invalid pages' wanted seqs into the
+    // request this fault already pays for (no extra messages, ever), each
+    // regime from one candidate source.  The collected (writer, seq) lists
+    // stay valid across the fetch: the service thread can only *append*
+    // notices, and this compute thread is the only one that applies them or
+    // touches the cache.
     //
-    // Outside a critical section the window validates what it fetches
-    // (TreadMarks' Tmk_validate): it folds a neighbor only if the request
-    // covers it whole — every wanted interval authored by a contacted
-    // writer or already cached — asks for its runs folded as the faulting
-    // page's are, and applies it on arrival, in lamport order, exactly as
-    // its own fault would, so its first read does not trap and nothing
-    // fetched has to survive in the cache.  A neighbor that would still
-    // need another writer is skipped, for its own fault to fetch whole.
-    // Inside a critical section the window and the batch below park their
-    // chunks in the neighbors' caches instead, as relay stock for the
-    // lock's next holder; a page validated there would skip the lock's
-    // touch history (lock_push_note_touch) its batch is built from.
+    // Outside a critical section, the window [page+1, page+prefetch_pages]
+    // validates what it fetches (TreadMarks' Tmk_validate): it folds a
+    // neighbor only if the request covers it whole — every wanted interval
+    // authored by a contacted writer or already cached — asks for its runs
+    // folded as the faulting page's are, and applies it on arrival, in
+    // lamport order, exactly as its own fault would, so its first read does
+    // not trap and nothing fetched has to survive in the cache.  A neighbor
+    // that would still need another writer is skipped, for its own fault to
+    // fetch whole.
     //
-    // Critical-section batch: the first request a critical section sends
-    // also carries the lock's other pages the grant invalidated (cs_batch_)
-    // that lie outside the window (inside it, the window's rule holds).
-    // Inside a critical section the request goes to one writer — the
-    // chain's latest — so each batch page names *every* wanted interval in
-    // the routed layout, as a routed fault of its own would; an entry that
-    // writer no longer holds comes back missing and is dropped (the page's
-    // own fault fetches it), so a wrong guess costs reply bytes and never a
-    // message.
+    // Inside one, only the critical-section batch: the lock's pages the
+    // grant invalidated (cs_batch_), folded into the section's first
+    // request.  That request goes to one writer — the chain's latest — so
+    // each batch page names *every* wanted interval in the routed layout, as
+    // a routed fault of its own would, and its chunks are parked in the
+    // page's cache for its own fault: a page validated here would skip the
+    // lock's touch history (lock_push_note_touch) the batch is built from.
+    // An entry that writer no longer holds comes back missing and is dropped
+    // (the page's own fault fetches it), so a wrong guess costs reply bytes
+    // and never a message.  The window stays out of critical sections: its
+    // parked neighbors would evict the relay stock the lock's next holder
+    // is routed to.
     struct PrefetchPage {
       PageIndex page = 0;
-      bool batch = false;  // a routed batch entry may miss
       // Outside a critical section: the notices the request covers (the
       // page's whole list when it was assembled), applied on arrival.
       // 0 inside one: park.
@@ -209,56 +207,51 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;  // (writer, seq)
     };
     std::vector<PrefetchPage> prefetch;
-    const bool batching = in_cs && !cs_batch_.empty() && by_writer.size() == 1;
     if (!wants.empty()) {
-      const std::size_t num_pages = rt_.config().num_pages();
-      const PageIndex last = static_cast<PageIndex>(
-          std::min<std::size_t>(page + window, num_pages - 1));
-      // Window pages first, then the batch pages outside the window.
       std::vector<PageIndex> cands;
-      for (PageIndex q = page + 1; q <= last; ++q) cands.push_back(q);
-      const std::size_t window_cands = cands.size();
-      if (batching)
+      if (in_cs) {
         for (PageIndex q : cs_batch_)
-          if (q < page || q > last) cands.push_back(q);
+          if (q != page) cands.push_back(q);
+      } else {
+        const PageIndex last = static_cast<PageIndex>(
+            std::min<std::size_t>(page + window, rt_.config().num_pages() - 1));
+        for (PageIndex q = page + 1; q <= last; ++q) cands.push_back(q);
+      }
+      // Inside a critical section one writer is contacted (see above).
       const std::uint32_t contacted = by_writer.begin()->first;
-      for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-        const PageIndex q = cands[ci];
-        // A neighbor whose chunk is absent was never touched here: no
-        // notices, nothing to prefetch, and no reason to allocate it.
+      for (PageIndex q : cands) {
+        // A page whose chunk is absent was never touched here: no notices,
+        // nothing to prefetch, and no reason to allocate it.
         PageEntry* qp = pages_.find(q);
         if (qp == nullptr) continue;
         PageEntry& qe = *qp;
         if (qe.state != PageState::kInvalid || qe.unapplied.empty()) continue;
         PrefetchPage pp;
         pp.page = q;
-        pp.batch = ci >= window_cands;
         bool whole = true;  // every wanted interval fetched here or cached
-        std::map<std::uint32_t, std::vector<std::uint32_t>> q_by_writer;
         for (const auto& n : qe.unapplied) {
           if (qe.diff_cache.find(n.writer, n.seq) != nullptr) continue;
-          if (!pp.batch && by_writer.find(n.writer) == by_writer.end()) {
+          if (!in_cs && by_writer.find(n.writer) == by_writer.end()) {
             whole = false;
-            continue;
+            break;
           }
-          q_by_writer[n.writer].push_back(n.seq);
           pp.entries.emplace_back(n.writer, n.seq);
         }
-        if (pp.entries.empty() || (!in_cs && !whole)) continue;
+        if (pp.entries.empty() || !whole) continue;
         if (!in_cs) {
           pp.validate_nwant = qe.unapplied.size();
           append_run_wants(q, qe, wants);
-        } else if (pp.batch && (q_by_writer.size() > 1 ||
-                                q_by_writer.begin()->first != contacted)) {
+        } else {
+          // Routed layout only when some entry is another writer's.
           DiffWant dw{q, contacted, {}, {}};
+          bool foreign = false;
           for (const auto& [writer, seq] : pp.entries) {
             dw.seqs.push_back(seq);
             dw.authors.push_back(writer);
+            foreign |= writer != contacted;
           }
+          if (!foreign) dw.authors.clear();
           wants.push_back(std::move(dw));
-        } else {
-          for (auto& [writer, seqs] : q_by_writer)
-            wants.push_back({q, writer, std::move(seqs), {}});
         }
         prefetch.push_back(std::move(pp));
       }
@@ -282,7 +275,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         if (mpage != page) {
           NOW_CHECK(std::any_of(prefetch.begin(), prefetch.end(),
                                 [mpage = mpage](const PrefetchPage& pp) {
-                                  return pp.batch && pp.page == mpage;
+                                  return pp.page == mpage;
                                 }))
               << "stock miss for page " << mpage << " outside the batch";
           continue;
@@ -307,18 +300,18 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     NOW_CHECK(apply_covered(page, e, nwant, &got, /*keep=*/in_cs, cost))
         << "page " << page << " has an interval neither fetched nor cached";
 
-    // The neighbors.  Outside a critical section the fetch covered each
-    // one whole: apply it.  One that gained a notice while the fetch waited
-    // applies what the fetch covered and stays invalid, for its own fault
-    // to fetch the rest — so nothing fetched outside a critical section is
-    // ever parked, and a folded run (keyed by its last interval, holding
-    // all of them) never reaches a cache.  Inside one, park each neighbor's
-    // chunks in its cache for its own fault: a budgeted FIFO insert,
-    // droppable (the writer still holds the diff — by the GC causality
-    // argument nothing wanted mid-epoch is reclaimed before the next
-    // barrier — so the real fault refetches whatever eviction lost), and a
-    // later barrier-GC floor promotes surviving entries to pins before
-    // their writers reclaim.
+    // The prefetched pages.  Outside a critical section the fetch covered
+    // each one whole: apply it.  One that gained a notice while the fetch
+    // waited applies what the fetch covered and stays invalid, for its own
+    // fault to fetch the rest — so nothing fetched outside a critical
+    // section is ever parked, and a folded run (keyed by its last interval,
+    // holding all of them) never reaches a cache.  Inside one, park each
+    // batch page's chunks in its cache for its own fault: a budgeted FIFO
+    // insert, droppable (the writer still holds the diff — by the GC
+    // causality argument nothing wanted mid-epoch is reclaimed before the
+    // next barrier — so the real fault refetches whatever eviction lost),
+    // and a later barrier-GC floor promotes surviving entries to pins
+    // before their writers reclaim.
     for (const PrefetchPage& pp : prefetch) {
       PageEntry& qe = pages_[pp.page];
       if (pp.validate_nwant != 0) {
@@ -336,10 +329,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       bool filled = false;
       for (const auto& [writer, seq] : pp.entries) {
         auto it = got.find({pp.page, writer, seq});
-        if (it == got.end() && pp.batch) continue;  // a dropped stock miss
-        NOW_CHECK(it != got.end())
-            << "writer " << writer << " had no diff for prefetched page "
-            << pp.page << " interval " << seq;
+        if (it == got.end()) continue;  // a dropped stock miss
         std::vector<DiffBytes> owned;
         owned.reserve(it->second.size());
         for (const DiffChunkView& v : it->second)

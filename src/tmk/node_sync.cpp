@@ -369,8 +369,8 @@ void Node::gc_validate_pages(const VectorTime& floor) {
       // next read without its writer hearing of it.
       if (update_on) e.unheard_writers |= std::uint64_t{1} << n.writer;
       // Already held locally: pinned by a previous GC pass (no fault
-      // consumed it yet), or parked as a *droppable* entry by a fault's
-      // prefetch window — promoted to a pin in place, because its writer is
+      // consumed it yet), or parked as a *droppable* entry by a critical
+      // section's batch — promoted to a pin in place, because its writer is
       // about to reclaim the source copy and eviction would lose the only
       // survivor.
       if (e.diff_cache.pin_existing(n.writer, n.seq)) continue;

@@ -57,16 +57,16 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //    eviction (it would lose the only surviving copy) — and are released
 //    when applied, by the fault or by the GC pass itself once a page's
 //    pinned bytes exceed the budget (which bounds never-read pages);
-//  - multi-page prefetch on fault (budgeted FIFO insert), only where the
-//    window cannot validate: a fault inside a critical section folds
-//    neighboring pages' wanted seqs into its kDiffRequest and parks the
-//    extra chunks here for the neighbor's own fault.  Outside one nothing
-//    fetched is cached (every neighbor folded there is applied on arrival,
-//    wholly or up to a notice gained during the fetch), which is what lets
-//    a fault there fetch merged diff runs: a run's composite is filed
-//    under its last interval and must never be cached as that interval's
-//    diff.  Prefetched entries are droppable — their writers still hold
-//    the diff, so the real fault can always refetch what eviction lost.
+//  - the critical-section batch (budgeted FIFO insert): a section's first
+//    fault folds the lock's pages the grant invalidated into its
+//    kDiffRequest and parks their chunks here for each page's own fault.
+//    The prefetch window outside a critical section caches nothing (every
+//    neighbor folded there is applied on arrival, wholly or up to a notice
+//    gained during the fetch), which is what lets a fault there fetch
+//    merged diff runs: a run's composite is filed under its last interval
+//    and must never be cached as that interval's diff.  Prefetched entries
+//    are droppable — their writers still hold the diff, so the real fault
+//    can always refetch what eviction lost.
 //    When a barrier-GC floor later covers a prefetched entry, the
 //    validation pass promotes it to a pin in place rather than refetching;
 //  - the push engine (budgeted FIFO insert): both push keyings — the

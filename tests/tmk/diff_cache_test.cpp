@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "tmk/tmk.h"
 
@@ -196,48 +198,56 @@ TEST(DiffCacheProtocol, SimulatedMetricsUnchangedByCache) {
   EXPECT_EQ(s.prefetch_hits, 0u);
 }
 
-// With multi-page prefetch enabled the zero-hit expectation flips even with
-// GC off: every node's fault on the shared page cannot prefetch (single
-// page), so spread the writers over several pages — neighbor faults inside a
-// critical section must now be served from prefetched entries, with fewer
-// messages and the same simulated work.  (Outside one the window validates
-// its neighbors on arrival instead of parking them: tmk_prefetch_test.)
-TEST(DiffCacheProtocol, PrefetchMakesTheCacheLoadBearingWithoutGc) {
-  auto workload = [](Tmk& tmk) {
-    constexpr std::size_t kPages = 8;
-    constexpr std::size_t kWordsPerPage = kPageSize / sizeof(std::uint64_t);
-    gptr<std::uint64_t> base(kPageSize);
-    if (tmk.id() == 0)
-      for (std::size_t pg = 0; pg < kPages; ++pg)
-        for (std::size_t k = 0; k < 8; ++k)
-          base[pg * kWordsPerPage + k] = pg * 100 + k;
-    tmk.barrier();
-    if (tmk.id() == 1) {
-      tmk.lock_acquire(0);
-      for (std::size_t pg = 0; pg < kPages; ++pg)
-        for (std::size_t k = 0; k < 8; ++k)
-          EXPECT_EQ(base[pg * kWordsPerPage + k], pg * 100 + k);
-      tmk.lock_release(0);
-    }
-    tmk.barrier();
+// Inside a critical section only the lock's batch prefetches: the pages
+// the grant invalidated that this node touched under the lock before.  A
+// lock's first section has no touch history, so with the window on it
+// still folds no neighbor — each page's fault fetches it alone, exactly as
+// with the window off, and reads the same bytes.  (The window's neighbors
+// would evict the relay stock the lock's next holder is routed to; outside
+// a critical section the window validates them instead: tmk_prefetch_test.)
+TEST(DiffCacheProtocol, FirstSectionOfALockFoldsNoNeighbor) {
+  constexpr std::size_t kPages = 8;
+  constexpr std::size_t kWordsPerPage = kPageSize / sizeof(std::uint64_t);
+  auto run = [&](std::size_t prefetch, std::vector<std::uint64_t>& seen) {
+    DsmConfig c = cfg(2, 16 * 1024, prefetch);
+    // A checkpoint pass stages pages at its barriers — faults outside any
+    // critical section, where the window does fold: pinned off against the
+    // CI TMK_CKPT_EVERY default.  Equal message counts are a perfect-wire
+    // property.
+    c.ckpt_every = 0;
+    c.net_fault = {};
+    c.net_reliable = false;
+    DsmRuntime rt(c);
+    rt.run_spmd([&](Tmk& tmk) {
+      gptr<std::uint64_t> base(kPageSize);
+      if (tmk.id() == 0)
+        for (std::size_t pg = 0; pg < kPages; ++pg)
+          for (std::size_t k = 0; k < 8; ++k)
+            base[pg * kWordsPerPage + k] = pg * 100 + k;
+      tmk.barrier();
+      if (tmk.id() == 1) {
+        tmk.lock_acquire(0);
+        for (std::size_t pg = 0; pg < kPages; ++pg)
+          for (std::size_t k = 0; k < 8; ++k)
+            seen.push_back(base[pg * kWordsPerPage + k]);
+        tmk.lock_release(0);
+      }
+      tmk.barrier();
+    });
+    return std::make_pair(rt.total_stats(), rt.traffic());
   };
-  sim::TrafficSnapshot traffic_pf, traffic_off;
-  DsmStatsSnapshot stats_pf;
-  {
-    DsmRuntime rt(cfg(2, 16 * 1024, /*prefetch=*/4));
-    rt.run_spmd(workload);
-    traffic_pf = rt.traffic();
-    stats_pf = rt.total_stats();
-  }
-  {
-    DsmRuntime rt(cfg(2, 16 * 1024, /*prefetch=*/0));
-    rt.run_spmd(workload);
-    traffic_off = rt.traffic();
-  }
-  EXPECT_GT(stats_pf.diff_cache_hits, 0u);
-  EXPECT_EQ(stats_pf.diff_cache_hits, stats_pf.prefetch_hits);
-  EXPECT_GT(stats_pf.diff_cache_bytes_saved, 0u);
-  EXPECT_LT(traffic_pf.messages, traffic_off.messages);
+  std::vector<std::uint64_t> seen_pf, seen_off;
+  const auto [stats_pf, traffic_pf] = run(4, seen_pf);
+  const sim::TrafficSnapshot traffic_off = run(0, seen_off).second;
+  EXPECT_EQ(stats_pf.prefetch_requests_batched, 0u);
+  EXPECT_EQ(stats_pf.prefetch_hits, 0u);
+  EXPECT_EQ(traffic_pf.messages_by_type[kDiffRequest], kPages);
+  EXPECT_EQ(traffic_pf.messages, traffic_off.messages);
+  ASSERT_EQ(seen_pf.size(), kPages * 8);
+  for (std::size_t pg = 0; pg < kPages; ++pg)
+    for (std::size_t k = 0; k < 8; ++k)
+      EXPECT_EQ(seen_pf[pg * 8 + k], pg * 100 + k);
+  EXPECT_EQ(seen_pf, seen_off);
 }
 
 // Budget eviction end to end: prefetched entries beyond
@@ -245,29 +255,54 @@ TEST(DiffCacheProtocol, PrefetchMakesTheCacheLoadBearingWithoutGc) {
 // the real fault — the counters prove both the drop and the refetch.  Node 0
 // dirties page B across four intervals (~800 bytes each); a budget of 2000
 // bytes keeps only the last two prefetched entries, so B's fault hits twice
-// and refetches the two evicted intervals in one extra message.  The reads
-// run inside a critical section, where the window parks what it fetches.
+// and refetches the two evicted intervals in one extra message.  Node 1
+// reads inside a critical section, where only the lock's batch prefetches:
+// an earlier section of the lock touched B, and the grant names B's last
+// interval, so the batch folds B into A's request and parks it.
 TEST(DiffCacheProtocol, PrefetchedEntriesBeyondBudgetAreDroppedAndRefetched) {
   constexpr std::size_t kDirtyBytes = 800;
   constexpr int kIntervals = 4;
   DsmConfig c = cfg(2, /*cache_bytes=*/2000, /*prefetch=*/4);
   // A checkpoint pass stages A at its barriers — a fault outside any
   // critical section, whose window would validate B before the section
-  // below runs: pinned off against the CI TMK_CKPT_EVERY default.
+  // below runs — and lock push would land B's last interval with the grant:
+  // both pinned off against the CI TMK_CKPT_EVERY / TMK_LOCK_PUSH_BYTES
+  // defaults.  Modulo manager placement puts semaphore 1 on node 1: node
+  // 0's signal carries only the records cut before its last interval,
+  // where a grant from node 0's own manager log could already carry it.
   c.ckpt_every = 0;
+  c.lock_push_bytes = 0;
+  c.shard_managers = false;
   DsmRuntime rt(c);
   rt.run_spmd([](Tmk& tmk) {
     gptr<std::uint8_t> a(kPageSize);              // page A: the faulting page
     gptr<std::uint8_t> b(kPageSize + kPageSize);  // page B: its neighbor
-    for (int e = 0; e < kIntervals; ++e) {
+    auto dirty_b = [&](int e) {
+      for (std::size_t i = 0; i < kDirtyBytes; ++i)
+        b[i] = static_cast<std::uint8_t>(100 + e + i);
+    };
+    if (tmk.id() == 1) {
+      tmk.lock_acquire(0);
+      EXPECT_EQ(b[0], 0);  // B joins the lock's touch history (cold: no fetch)
+      tmk.lock_release(0);
+    }
+    tmk.barrier();
+    for (int e = 0; e + 1 < kIntervals; ++e) {
       if (tmk.id() == 0) {
         if (e == 0) a[0] = 7;
-        for (std::size_t i = 0; i < kDirtyBytes; ++i)
-          b[i] = static_cast<std::uint8_t>(100 + e + i);
+        dirty_b(e);
       }
       tmk.barrier();  // each epoch closes one interval with a ~800-byte diff
     }
-    if (tmk.id() == 1) {
+    if (tmk.id() == 0) {
+      // The last interval rides the lock grant: node 1 queues while node 0
+      // holds the lock, so the grant's delta names B.
+      tmk.lock_acquire(0);
+      tmk.sema_signal(1);
+      dirty_b(kIntervals - 1);
+      tmk.lock_release(0);
+    } else {
+      tmk.sema_wait(1);
       tmk.lock_acquire(0);
       EXPECT_EQ(a[0], 7);  // fault on A prefetches B's four intervals
       for (std::size_t i = 0; i < kDirtyBytes; ++i)

@@ -290,28 +290,43 @@ TEST(GC, PinInsertedAfterPrefetchEntryEvictsDroppableNeverPin) {
 
 // Prefetch/GC interaction, protocol level: a prefetch that lands just
 // before the writer's one-barrier-delayed reclaim is still served.  The
-// write notices reach node 1 through a semaphore, so no floor covers them
-// yet, and its fault on page A — inside a critical section, where the
-// window parks instead of validating — prefetches neighbor B's diff; the
-// next barrier's validation pass must promote that droppable entry to a pin
-// (not skip it), because one barrier later the writer reclaims the only
-// other copy.  The late read of B can then only be served from the promoted
-// pin.
+// write notices reach node 1 through a lock grant, so no floor covers them
+// yet, and its fault on page A inside the critical section folds B — a page
+// an earlier section of the lock touched, which the grant names — into the
+// lock's batch, parked droppable; the next barrier's validation pass must
+// promote that entry to a pin (not skip it), because one barrier later the
+// writer reclaims the only other copy.  The late read of B can then only be
+// served from the promoted pin.
 TEST(GC, PrefetchLandingJustBeforeReclaimIsStillServed) {
   DsmConfig c = cfg(2, /*gc=*/true);
   c.prefetch_pages = 4;
+  // Lock push would land A and B with the grant instead of the batch:
+  // pinned off against the CI TMK_LOCK_PUSH_BYTES default.  Modulo manager
+  // placement puts semaphore 1 on node 1: node 0's signal carries only the
+  // records cut before its writes, where a grant from node 0's own manager
+  // log could already carry them, leaving the lock grant nothing to batch.
+  c.lock_push_bytes = 0;
+  c.shard_managers = false;
   std::size_t pinned_after_validate = 0;
   DsmRuntime rt(c);
   rt.run_spmd([&](Tmk& tmk) {
     gptr<std::uint64_t> a(kPageSize);
     gptr<std::uint64_t> b(2 * kPageSize);
+    if (tmk.id() == 1) {
+      tmk.lock_acquire(0);
+      EXPECT_EQ(b[0], 0u);  // B joins the lock's touch history (cold)
+      tmk.lock_release(0);
+    }
+    tmk.barrier();
     if (tmk.id() == 0) {
+      tmk.lock_acquire(0);
+      tmk.sema_signal(1);  // node 1 queues while node 0 holds the lock
       for (std::size_t i = 0; i < 8; ++i) a[i] = 40 + i;
       for (std::size_t i = 0; i < 8; ++i) b[i] = 50 + i;
-      tmk.sema_signal(0);
+      tmk.lock_release(0);
     } else {
-      tmk.sema_wait(0);  // records travel; no floor covers them yet
-      tmk.lock_acquire(0);
+      tmk.sema_wait(1);
+      tmk.lock_acquire(0);  // records travel; no floor covers them yet
       for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(a[i], 40 + i);  // fault on A prefetches B (droppable)
       tmk.lock_release(0);

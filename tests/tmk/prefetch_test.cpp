@@ -1,8 +1,9 @@
-// Multi-page prefetch on fault: a fault folds neighboring invalid pages'
-// wanted interval seqs into the kDiffRequest it already sends.  Outside a
-// critical section it folds only a neighbor the request covers whole and
-// validates it on arrival; inside one it parks the chunks in the
-// neighbors' requester-side diff caches.  These tests pin down
+// Multi-page prefetch on fault: a fault outside a critical section folds
+// neighboring invalid pages' wanted interval seqs into the kDiffRequest it
+// already sends — only a neighbor the request covers whole — and validates
+// it on arrival.  (Inside a critical section the window folds nothing:
+// only the lock's batch prefetches there, tmk_routed_fetch_test.)  These
+// tests pin down
 //  - the headline win: a strided traversal sends >= 2x fewer kDiffRequest
 //    messages and takes fewer read faults with prefetch on, with
 //    byte-identical final contents;
@@ -18,7 +19,7 @@
 //  - merged runs: outside a critical section a writer folds a run of its
 //    intervals adjacent in apply order into one diff, never across another
 //    writer's interval, and inside one every interval ships on its own.
-// (Parking, budget eviction and refetch inside a critical section live in
+// (The batch's parking, budget eviction and refetch live in
 // tmk_diff_cache_test; the prefetch/GC reclaim interplay in tmk_gc_test;
 // cross-config byte identity in tmk_fuzz_consistency_test.)
 #include <gtest/gtest.h>

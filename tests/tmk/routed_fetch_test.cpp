@@ -6,13 +6,14 @@
 // marked missing and fetched from its writer in a second round.  The first
 // such request of a critical section also carries the section's other
 // pages the lock grant invalidated — those this node touched in an earlier
-// critical section of the lock (the critical-section batch) that lie
-// beyond the fault's prefetch window; a batch entry the writer no longer
+// critical section of the lock (the critical-section batch), the only
+// prefetch inside a critical section; a batch entry the writer no longer
 // holds is dropped and fetched by the page's own fault.  These tests pin
 //  - the win: on a steady rotating lock chain every fault inside the
 //    critical section costs exactly one kDiffRequest, and when the grant
 //    carries the chain's writes, so does every critical section, its
 //    second page far outside the prefetch window;
+//  - the stock: no prefetch inside a critical section evicts it;
 //  - byte identity with a cache so small the stock is evicted, the second
 //    round fires and batch entries come back missing;
 //  - the touch-history filter: pages written outside the critical section
@@ -38,7 +39,8 @@ constexpr std::size_t kRounds = 6;
 constexpr std::size_t kRunWords = 16;
 // A second page this far above the header page lies outside any prefetch
 // window the test configurations use (4, or 16 in the all-features leg):
-// only the critical-section batch can fold it into the header's request.
+// wherever a page lies, only the critical-section batch can fold it into
+// the header's request.
 constexpr std::size_t kFarGap = 24;
 
 DsmConfig cfg(std::size_t cache_bytes) {
@@ -170,10 +172,23 @@ TEST(RoutedFetch, SteadyChainFaultSendsOneRequest) {
   EXPECT_EQ(out.contents, expected_contents());
 }
 
+TEST(RoutedFetch, PrefetchLeavesTheStockAlone) {
+  // A 256-byte page cache holds the two other writers' intervals a holder's
+  // stock must answer for when the chain comes round.  Inside a critical
+  // section only the lock's batch prefetches, so no neighbor the window
+  // would park displaces that stock (TSP's shape): every routed entry is
+  // served.
+  const ChainOutcome snug = run_chain(256);
+  EXPECT_GT(snug.stats.diff_fetches_routed, 0u);
+  EXPECT_GT(snug.stats.diff_stock_served, 0u);
+  EXPECT_EQ(snug.stats.diff_stock_misses, 0u);
+  EXPECT_EQ(snug.contents, expected_contents());
+}
+
 TEST(RoutedFetch, EvictedStockTakesTheSecondRound) {
-  // Each interval's diff is one 4 + 128-byte chunk: a 256-byte page cache
-  // holds one of them, so the routed writer has lost most of its stock.
-  const ChainOutcome tiny = run_chain(256);
+  // A 128-byte page cache holds at most one of those intervals, so the
+  // routed writer has lost part of its stock.
+  const ChainOutcome tiny = run_chain(128);
   EXPECT_GT(tiny.stats.diff_fetches_routed, 0u);
   EXPECT_GT(tiny.stats.diff_stock_misses, 0u);
   // A miss costs a direct fetch, never a lost interval.
